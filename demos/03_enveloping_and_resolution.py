@@ -35,7 +35,8 @@ for entry in catalog.positive_entries():
 
 print("\nExt through the resolution vs the CE complex:")
 for entry in catalog.positive_entries():
-    hom_complex_iso(entry.algebroid, entry.representation, 3)
-    exts = [d for _, d in ext_dims(entry.algebroid, entry.representation, 3)]
+    cx, report = rinehart_complex(entry.algebroid, 3)
+    cert = hom_complex_iso(cx, entry.representation)
+    exts = [d for _, d in ext_dims(report, cert)]
     ces = ce_dims(entry.algebroid, entry.representation)
     print(f"  {entry.name:18s} Ext={exts} CE={ces} agree={exts == ces}")

@@ -30,12 +30,12 @@ print("transgression d2 at (0,1) has rank", rank(d2),
 
 print("convergence per total degree (E_oo sum vs H^n):", hp.convergence)
 
-e1 = check_e1(E, rep, precomputed=hp)
-e2 = check_e2(E, rep, precomputed=hp)
+e1 = check_e1(hp)
+e2 = check_e2(hp)
 print("E1 identification:", "ok" if e1.ok else e1.table)
 print("E2 identification:", "ok" if e2.ok else e2.table)
 
-ft = five_term(E, rep, precomputed=hp)
+ft = five_term(hp)
 print("five-term node dims:", ft.node_dims, "exact:", ft.all_exact)
 
 print("\ninduced action of the quotient on kernel cohomology:")

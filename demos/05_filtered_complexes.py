@@ -31,7 +31,7 @@ print("limit page:", einf.dims())
 print("stable from page", report.stable_at, "(bound", report.bound, ")")
 print("convergence (per degree, limit total vs H^n):", report.convergence)
 
-em = edge_maps(fc)
+em = edge_maps(fc, pages[1])
 print("\nfive-term sequence 0 -> E2^{1,0} -> H^1 -> E2^{0,1} -> E2^{2,0} -> H^2")
 print("node dims:", em.node_dims)
 print("inflation matrix:", [[str(x) for x in row] for row in em.inflation1.entries])

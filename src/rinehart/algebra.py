@@ -103,10 +103,6 @@ def is_derivation(a: FiniteAlgebra, d: Matrix) -> bool:
     return True
 
 
-def _flatten(mat_rows):
-    return tuple(x for row in mat_rows for x in row)
-
-
 def matrix_from_flat(field, flat, rows, cols) -> Matrix:
     return Matrix.from_rows(field, [flat[r * cols:(r + 1) * cols] for r in range(rows)])
 

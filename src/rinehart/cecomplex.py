@@ -14,6 +14,7 @@ construction and fails only if invalid input slipped past validation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -21,17 +22,31 @@ from math import comb
 from .algebroid import LieRinehartAlgebroid, Representation
 from .complexes import CochainComplex, cohomology_at
 from .errors import ConstructionInconsistent, NotEquivariant
-from .linalg import Matrix
+from .linalg import Matrix, add_block
 
 
-def insert_index(l, rest):
-    """Position and sign for sorting l into the increasing tuple rest; None if present."""
-    if l in rest:
-        return None
-    pos = 0
-    while pos < len(rest) and rest[pos] < l:
-        pos += 1
-    return pos, -1 if pos % 2 else 1
+def koszul_terms(bracket, T):
+    """Terms of the Koszul / CE differential on the wedge s_T of a tuple of basis indices.
+
+    Yields (sign, pair, x, S).  For each slot pos: pair is None, x = T[pos] is the
+    section whose anchor (or rho) acts, S is T without that slot and the sign is
+    (-1)^pos.  For each pair p1 < p2 and each l with [s_T[p1], s_T[p2]] having the
+    nonzero A-coefficient vector x on s_l: pair = (p1, p2), S is the rest with l
+    sorted in, and the sign is (-1)^(p1+p2) times the sign of that sort.  Terms
+    whose wedge repeats l vanish and are skipped; sorting assumes the rest is
+    increasing.
+    """
+    for pos, j in enumerate(T):
+        yield (-1 if pos % 2 else 1), None, j, T[:pos] + T[pos + 1:]
+    for p1 in range(len(T)):
+        for p2 in range(p1 + 1, len(T)):
+            rest = T[:p1] + T[p1 + 1:p2] + T[p2 + 1:]
+            sgn = -1 if (p1 + p2) % 2 else 1
+            for l, x in enumerate(bracket[T[p1]][T[p2]]):
+                if not any(x) or l in rest:
+                    continue
+                pos = bisect_left(rest, l)
+                yield (-sgn if pos % 2 else sgn), (p1, p2), x, rest[:pos] + (l,) + rest[pos:]
 
 
 @dataclass
@@ -40,9 +55,6 @@ class CEComplex:
     representation: Representation
     complex: CochainComplex
     tuples: list    # tuples[p] = increasing p-tuples of basis indices, lex order
-
-    def coord_index(self, p, t, mu) -> int:
-        return self.tuples[p].index(t) * self.representation.module.dim + mu
 
 
 def ce_complex(L: LieRinehartAlgebroid, R: Representation) -> CEComplex:
@@ -56,40 +68,9 @@ def ce_complex(L: LieRinehartAlgebroid, R: Representation) -> CEComplex:
         index_p = {t: i for i, t in enumerate(tuples[p])}
         rows = [[f.zero] * dims[p] for _ in range(dims[p + 1])]
         for ti, T in enumerate(tuples[p + 1]):
-            for pos in range(p + 1):
-                sub = T[:pos] + T[pos + 1:]
-                src = index_p[sub]
-                sgn = -1 if pos % 2 else 1
-                rho = R.rho[T[pos]]
-                for nu in range(N):
-                    for mu in range(N):
-                        v = rho.entries[nu][mu]
-                        if v:
-                            val = v if sgn == 1 else -v
-                            rows[ti * N + nu][src * N + mu] += val
-            for p1 in range(p + 1):
-                for p2 in range(p1 + 1, p + 1):
-                    sgn_ij = -1 if (p1 + p2) % 2 else 1
-                    rest = tuple(x for idx, x in enumerate(T) if idx not in (p1, p2))
-                    coeffs = L.bracket[T[p1]][T[p2]]
-                    for l in range(n):
-                        fl = coeffs[l]
-                        if not any(fl):
-                            continue
-                        ins = insert_index(l, rest)
-                        if ins is None:
-                            continue
-                        pos_l, sgn_sort = ins
-                        merged = rest[:pos_l] + (l,) + rest[pos_l:]
-                        src = index_p[merged]
-                        act = R.module.act_vec(fl)
-                        s = sgn_ij * sgn_sort
-                        for nu in range(N):
-                            for mu in range(N):
-                                v = act.entries[nu][mu]
-                                if v:
-                                    val = v if s == 1 else -v
-                                    rows[ti * N + nu][src * N + mu] += val
+            for sgn, pair, x, S in koszul_terms(L.bracket, T):
+                block = R.rho[x] if pair is None else R.module.act_vec(x)
+                add_block(rows, ti * N, index_p[S] * N, block, sgn)
         diffs.append(Matrix.from_rows(f, rows))
     try:
         cx = CochainComplex(f, dims, diffs)
@@ -169,27 +150,15 @@ def total_complex(L: LieRinehartAlgebroid, C: RepComplex) -> CochainComplex:
         rows = [[f.zero] * dims[k] for _ in range(dims[k + 1])]
         for a, src_off in offsets[k].items():
             b = k - a
-            src_dim = ces[a].complex.dims[b]
             # vertical: (-1)^a d_rho into block (a, b+1)
             if b + 1 <= n and a in offsets[k + 1]:
-                dst_off = offsets[k + 1][a]
-                d = ces[a].complex.diff(b)
-                for r in range(d.rows):
-                    for c in range(src_dim):
-                        v = d.entries[r][c]
-                        if v:
-                            rows[dst_off + r][src_off + c] += v if a % 2 == 0 else -v
+                add_block(rows, offsets[k + 1][a], src_off, ces[a].complex.diff(b),
+                          -1 if a % 2 else 1)
             # horizontal: delta (x) identity into block (a+1, b)
             if a + 1 < height and (a + 1) in offsets[k + 1]:
                 dst_off = offsets[k + 1][a + 1]
                 delta = C.maps[a]
-                nt = len(ces[a].tuples[b])
-                ns, nd = delta.cols, delta.rows
-                for t in range(nt):
-                    for r in range(nd):
-                        for c in range(ns):
-                            v = delta.entries[r][c]
-                            if v:
-                                rows[dst_off + t * nd + r][src_off + t * ns + c] += v
+                for t in range(len(ces[a].tuples[b])):
+                    add_block(rows, dst_off + t * delta.rows, src_off + t * delta.cols, delta)
         diffs.append(Matrix.from_rows(f, rows))
     return CochainComplex(f, dims, diffs)

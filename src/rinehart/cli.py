@@ -16,11 +16,11 @@ from .algebra import validate_algebra
 from .algebroid import invariants, validate_algebroid, validate_representation
 from .cecomplex import ce_cohomology, total_complex
 from .complexes import total_cohomology_dims
-from .enveloping import ext_dims, hom_complex_iso, rinehart_complex, truncated_enveloping
+from .enveloping import ext_dims, hom_complex_iso, rinehart_complex
 from .errors import EngineError, ParseError
 from .extensions import extension_from_k_indices, validate_extension
 from .hochschild import hs_report
-from .problems import ProblemFile, parse, problem_hash
+from .problems import ProblemFile, check_options, parse, problem_hash
 
 COMMANDS = ("validate", "cohomology", "invariants", "hs", "env", "total")
 
@@ -60,7 +60,7 @@ def _pq_table(dims_dict):
 
 def run(command: str, problem: ProblemFile, options: dict | None = None) -> tuple[dict, int]:
     """Execute one command; returns (report dict, exit code)."""
-    options = dict(options or {})
+    options = check_options(dict(options or {}), "option ")
     field = problem.field
     report = {
         "command": command,
@@ -116,10 +116,9 @@ def run(command: str, problem: ProblemFile, options: dict | None = None) -> tupl
             }
         elif command == "env":
             d = options.get("degree", problem.options.get("degree", 3))
-            U = truncated_enveloping(problem.algebroid, d)
-            _, exact_report = rinehart_complex(problem.algebroid, d, U=U)
-            hom_complex_iso(problem.algebroid, rep, d, U=U)
-            exts = ext_dims(problem.algebroid, rep, d)
+            cx, exact_report = rinehart_complex(problem.algebroid, d)
+            exts = ext_dims(exact_report, hom_complex_iso(cx, rep))
+            U = cx.U
             table = U.table()
             report["results"] = {
                 "degree": d,

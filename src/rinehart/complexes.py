@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .errors import ConstructionInconsistent, DegreeOutOfRange, EngineError, IncompatibleFiltration
-from .linalg import (Matrix, Subspace, complete_basis, image_subspace,
-                     kernel_subspace, kernel_vectors, rank, solve)
+from .linalg import (Matrix, Subspace, class_coordinates, complete_basis,
+                     image_subspace, kernel_subspace, kernel_vectors, rank)
 
 
 class CochainComplex:
@@ -132,14 +132,10 @@ class SpectralPage:
     def coordinates(self, p, q, vector):
         """Coefficients of a cycle in the representative basis at (p, q), mod the denominator."""
         e = self.entries[(p, q)]
-        cols = [list(v) for v in e.reps] + [list(v) for v in e._den.basis]
-        if not cols:
-            return ()
-        m = Matrix.from_rows(self.field, cols).transpose()
-        x = solve(m, tuple(vector))
+        x = class_coordinates(self.field, e.reps, e._den, vector)
         if x is None:
             raise EngineError("vector does not represent a class at this position")
-        return x[:e.dim]
+        return x
 
 
 @dataclass
@@ -174,7 +170,9 @@ def _page(fc: FilteredComplex, r):
             zd = zr.intersect(den)
             reps = complete_basis(zd, zr.basis)
             num = zr.add(fc.space(s, p + 1))
-            assert len(reps) == num.dim - den.dim
+            if len(reps) != num.dim - den.dim:
+                raise EngineError(f"page {r} at {(p, q)}: {len(reps)} representatives "
+                                  f"for a subquotient of dim {num.dim - den.dim}")
             entries[(p, q)] = PageEntry(len(reps), reps, den)
     return SpectralPage(r, cx.field, entries)
 
@@ -260,26 +258,21 @@ class EdgeMaps:
 
 
 def _class_coordinates(field, reps, im: Subspace, vector):
-    cols = [list(v) for v in reps] + [list(v) for v in im.basis]
-    if not cols:
-        return ()
-    m = Matrix.from_rows(field, cols).transpose()
-    x = solve(m, tuple(vector))
+    x = class_coordinates(field, reps, im, vector)
     if x is None:
         raise EngineError("vector is not a cocycle of the expected class group")
-    return x[:len(reps)]
+    return x
 
 
-def edge_maps(fc: FilteredComplex) -> EdgeMaps:
-    """Explicit matrices of the five-term sequence, plus exactness certificates.
+def edge_maps(fc: FilteredComplex, e2: SpectralPage) -> EdgeMaps:
+    """Explicit matrices of the five-term sequence, plus exactness certificates,
+    from the E_2 page e2 of fc.
 
     Requires the filtration to vanish above the cohomological degree (true for
     every first-quadrant situation, in particular the extension filtration),
     so that low-degree page representatives are honest cocycles.
     """
     cx = fc.complex
-    pages, _, _ = spectral_pages(fc, 2)
-    e2 = pages[1]
     h1_dim, h1_reps = cohomology_at(cx, 1) if cx.top_degree >= 1 else (0, [])
     h2_dim, h2_reps = cohomology_at(cx, 2) if cx.top_degree >= 2 else (0, [])
     im0 = image_subspace(cx.diff(0)) if cx.top_degree >= 1 else Subspace.zero(cx.field, 0)

@@ -2,6 +2,13 @@
 homological complex U (x) Lambda^* L resolving A, and the transfer of its
 U-linear dual onto the CE complex.
 
+The transfer is phi -> phi o partial on the actual partials of the resolution:
+a U-linear phi is determined by its values on the generators 1 (x) s_J, and
+(phi o partial)(1 (x) s_T) is read off the column of the generator, each
+entry u (x) s_J acting on M through U.  The truncation at PBW degree d keeps
+the generators of C_i only for i <= d, so the differential d_i is transferred
+for i < d and Ext^i is certified against the CE complex for i < d.
+
 PBW normal form: algebra coefficients leftmost, then sections in ascending
 index.  Products are rewritten with the two defining relation families
 
@@ -20,10 +27,11 @@ from itertools import combinations
 from math import comb
 
 from .algebroid import LieRinehartAlgebroid, Representation
-from .cecomplex import ce_complex, insert_index
+from .cecomplex import CEComplex, ce_complex, koszul_terms
 from .complexes import CochainComplex, cohomology_at
-from .errors import ExactnessFailure, MismatchAt
-from .linalg import Matrix, Subspace, image_subspace, kernel_subspace, rank
+from .errors import EngineError, ExactnessFailure, MismatchAt
+from .linalg import (Matrix, Subspace, add_block, image_subspace, kernel_subspace,
+                     rank)
 
 
 def _monomials(n, dmax):
@@ -165,12 +173,6 @@ class TruncatedEnveloping:
             self._add_into(acc, piece, c)
         return self._clean(acc), overflow
 
-    def rmul_alg_elem(self, elem, b):
-        acc = {}
-        for mono, c in elem.items():
-            self._add_into(acc, self.rmul_alg_mono(mono, b), c)
-        return self._clean(acc)
-
     def mul_mono(self, m1, m2):
         """Product of two PBW basis monomials, straightened."""
         b, beta = m2
@@ -265,11 +267,10 @@ class RinehartComplex:
                 if self.U.degree(mono) + i <= t]
 
 
-def rinehart_complex(L: LieRinehartAlgebroid, cutoff: int,
-                     U: TruncatedEnveloping | None = None):
+def rinehart_complex(L: LieRinehartAlgebroid, cutoff: int):
     """Build the resolution and certify exactness on every total-degree level
     t <= cutoff; returns (complex, report) or raises ExactnessFailure."""
-    U = U or truncated_enveloping(L, cutoff)
+    U = truncated_enveloping(L, cutoff)
     f = L.field
     n = L.n
     bases = []
@@ -281,38 +282,16 @@ def rinehart_complex(L: LieRinehartAlgebroid, cutoff: int,
     for i in range(1, n + 1):
         rows = [[f.zero] * len(bases[i]) for _ in range(len(bases[i - 1]))]
         for col, (mono, J) in enumerate(bases[i]):
-            for pos in range(i):
-                jx = J[pos]
-                rest = J[:pos] + J[pos + 1:]
-                moved, ov = U.rmul_s_mono(mono, jx)
-                assert not ov, "differential escaped the certified levels"
-                sgn = 1 if pos % 2 == 0 else -1
-                for m2, c in moved.items():
-                    row = index_maps[i - 1][(m2, rest)]
-                    rows[row][col] += c if sgn == 1 else -c
-            for p1 in range(i):
-                for p2 in range(p1 + 1, i):
-                    sgn_ij = 1 if (p1 + p2) % 2 == 0 else -1
-                    rest = tuple(x for k, x in enumerate(J) if k not in (p1, p2))
-                    coeffs = L.bracket[J[p1]][J[p2]]
-                    for l in range(n):
-                        fl = coeffs[l]
-                        if not any(fl):
-                            continue
-                        ins = insert_index(l, rest)
-                        if ins is None:
-                            continue
-                        pos_l, sgn_sort = ins
-                        merged = rest[:pos_l] + (l,) + rest[pos_l:]
-                        for c_idx, cv in enumerate(fl):
-                            if not cv:
-                                continue
-                            shifted = U.rmul_alg_mono(mono, c_idx)
-                            s = sgn_ij * sgn_sort
-                            for m2, c in shifted.items():
-                                row = index_maps[i - 1][(m2, merged)]
-                                val = c * cv
-                                rows[row][col] += val if s == 1 else -val
+            # u (x) s_J -> sum +- u s_j (x) s_rest + sum +- u f (x) s_merged, f = [s, s']
+            for sgn, pair, x, S in koszul_terms(L.bracket, J):
+                if pair is None:
+                    image, overflow = U.rmul_s_mono(mono, x)
+                else:
+                    image, overflow = U.mul({mono: f.one}, U.coefficient(x))
+                if overflow:
+                    raise EngineError("differential escaped the certified levels")
+                for m2, c in image.items():
+                    rows[index_maps[i - 1][(m2, S)]][col] += c if sgn == 1 else -c
         partials.append(Matrix.from_rows(f, rows) if rows else
                         Matrix.zero(f, 0, len(bases[i])))
     eps = U.augmentation_matrix()
@@ -387,66 +366,49 @@ def check_exactness(cx: RinehartComplex) -> ExactnessReport:
 
 @dataclass
 class HomIsoCertificate:
-    cutoff: int
-    degrees: list        # CE degrees compared
-    transferred: list    # matrices obtained from the resolution side
+    ce: CEComplex        # the CE complex the transfer was compared with
+    degrees: list        # i with d_i transferred from the resolution
+    transferred: list    # transferred[i] = d_i read off partials[i + 1]
 
     @property
     def ok(self):
-        return True      # construction raises on any mismatch
+        """Every CE differential was transferred and matched."""
+        return len(self.transferred) == self.ce.algebroid.n
 
 
-def hom_complex_iso(L: LieRinehartAlgebroid, R: Representation, cutoff: int,
-                    U: TruncatedEnveloping | None = None) -> HomIsoCertificate:
-    """Transfer Hom_U(C_*, M) onto M (x) Lambda^* L^* along phi -> phi(1 (x) -)
-    and check the transferred differential equals d_rho entry by entry."""
-    U = U or truncated_enveloping(L, cutoff)
-    n = L.n
+def hom_complex_iso(cx: RinehartComplex, R: Representation) -> HomIsoCertificate:
+    """Transfer Hom_U(C_*, M) onto M (x) Lambda^* L^* along phi -> (phi(1 (x) s_J))_J
+    and check each transferred differential equals d_rho entry by entry.
+
+    (phi o partial)(1 (x) s_T) = sum c u . phi(1 (x) s_J) over the entries
+    c (u (x) s_J) of partial(1 (x) s_T), so block (T, J) of the transferred d_i
+    is the action of sum c u on M.  The generator 1 (x) s_T lies in the truncated
+    resolution only when i + 1 <= cutoff; higher d_i are not transferred.
+    """
+    U = cx.U
+    L = U.L
     N = R.module.dim
     f = L.field
     ce = ce_complex(L, R)
+    one = U.unit()    # 1 = sum_a unit[a] e_a
     transferred = []
-    for i in range(n):
-        tuples_i = ce.tuples[i]
-        tuples_next = ce.tuples[i + 1]
-        index_i = {t: k for k, t in enumerate(tuples_i)}
-        rows = [[f.zero] * (N * len(tuples_i)) for _ in range(N * len(tuples_next))]
-        for ti, T in enumerate(tuples_next):
-            # partial(1 (x) s_T) expanded into (monomial, tuple) pairs
-            for pos in range(i + 1):
-                jx = T[pos]
-                rest = T[:pos] + T[pos + 1:]
-                sgn = 1 if pos % 2 == 0 else -1
-                col_t = index_i[rest]
-                # u = s_jx acting on M through the module structure
-                act = U.element_action_on_module(U.section(jx), R)
-                for nu in range(N):
-                    for mu in range(N):
-                        v = act.entries[nu][mu]
-                        if v:
-                            rows[ti * N + nu][col_t * N + mu] += v if sgn == 1 else -v
-            for p1 in range(i + 1):
-                for p2 in range(p1 + 1, i + 1):
-                    sgn_ij = 1 if (p1 + p2) % 2 == 0 else -1
-                    rest = tuple(x for k, x in enumerate(T) if k not in (p1, p2))
-                    coeffs = L.bracket[T[p1]][T[p2]]
-                    for l in range(n):
-                        fl = coeffs[l]
-                        if not any(fl):
-                            continue
-                        ins = insert_index(l, rest)
-                        if ins is None:
-                            continue
-                        pos_l, sgn_sort = ins
-                        merged = rest[:pos_l] + (l,) + rest[pos_l:]
-                        col_t = index_i[merged]
-                        act = R.module.act_vec(fl)
-                        s = sgn_ij * sgn_sort
-                        for nu in range(N):
-                            for mu in range(N):
-                                v = act.entries[nu][mu]
-                                if v:
-                                    rows[ti * N + nu][col_t * N + mu] += v if s == 1 else -v
+    for i in range(min(L.n, U.cutoff)):
+        entries = cx.partials[i + 1].entries
+        column = {b: k for k, b in enumerate(cx.bases[i + 1])}
+        index_i = {J: k for k, J in enumerate(ce.tuples[i])}
+        rows = [[f.zero] * ce.complex.dims[i] for _ in range(ce.complex.dims[i + 1])]
+        for ti, T in enumerate(ce.tuples[i + 1]):
+            # partial(1 (x) s_T), grouped by J
+            image = {}
+            for unit_mono, u in one.items():
+                k = column[(unit_mono, T)]
+                for r, row in enumerate(entries):
+                    if row[k]:
+                        mono, J = cx.bases[i][r]
+                        elem = image.setdefault(J, {})
+                        elem[mono] = elem.get(mono, f.zero) + u * row[k]
+            for J, elem in image.items():
+                add_block(rows, ti * N, index_i[J] * N, U.element_action_on_module(elem, R))
         got = Matrix.from_rows(f, rows)
         want = ce.complex.diff(i)
         if got.entries != want.entries:
@@ -454,28 +416,33 @@ def hom_complex_iso(L: LieRinehartAlgebroid, R: Representation, cutoff: int,
                             if got.entries[r][c] != want.entries[r][c]), None)
             raise MismatchAt(i, witness)
         transferred.append(got)
-    return HomIsoCertificate(cutoff, list(range(n + 1)), transferred)
+    return HomIsoCertificate(ce, list(range(len(transferred))), transferred)
 
 
-def ext_dims(L: LieRinehartAlgebroid, R: Representation, cutoff: int):
-    """Ext^i over U(L) of (A, M) through the resolution, checked against the
-    CE pipeline dim-by-dim and as subquotients."""
-    U = truncated_enveloping(L, cutoff)
-    _, report = rinehart_complex(L, cutoff, U=U)
-    assert report.ok
-    cert = hom_complex_iso(L, R, cutoff, U=U)
-    ce = ce_complex(L, R)
-    hom_cx = CochainComplex(L.field, list(ce.complex.dims), cert.transferred)
+def ext_dims(report: ExactnessReport, cert: HomIsoCertificate):
+    """Ext^i over U(L) of (A, M) as the cohomology of the transferred Hom complex,
+    checked against the CE pipeline dim-by-dim and as subquotients.
+
+    All n + 1 dims are reported.  The differentials the truncated resolution
+    cannot reach (d_i with i >= cutoff) are taken from the CE complex, so the
+    resolution certifies Ext^i only for i < cutoff.
+    """
+    if not report.ok:
+        raise ExactnessFailure("the resolution is not exact",
+                               witness=[k for k, h in sorted(report.homology.items()) if h])
+    ce = cert.ce.complex
+    f = ce.field
+    hom_cx = CochainComplex(f, ce.dims, cert.transferred + ce.diffs[len(cert.transferred):])
     out = []
-    for i in range(L.n + 1):
+    for i in range(ce.top_degree + 1):
         dim_hom, _ = cohomology_at(hom_cx, i)
-        dim_ce, _ = cohomology_at(ce.complex, i)
+        dim_ce, _ = cohomology_at(ce, i)
         if dim_hom != dim_ce:
             raise MismatchAt(i, ("ext-vs-ce", dim_hom, dim_ce))
         ker_h = kernel_subspace(hom_cx.diff(i))
-        ker_c = kernel_subspace(ce.complex.diff(i))
-        im_h = image_subspace(hom_cx.diff(i - 1)) if i else Subspace.zero(L.field, ce.complex.dims[0])
-        im_c = image_subspace(ce.complex.diff(i - 1)) if i else Subspace.zero(L.field, ce.complex.dims[0])
+        ker_c = kernel_subspace(ce.diff(i))
+        im_h = image_subspace(hom_cx.diff(i - 1)) if i else Subspace.zero(f, ce.dims[0])
+        im_c = image_subspace(ce.diff(i - 1)) if i else Subspace.zero(f, ce.dims[0])
         if not (ker_h.equals(ker_c) and im_h.equals(im_c)):
             raise MismatchAt(i, "subquotients differ")
         out.append((i, dim_hom))

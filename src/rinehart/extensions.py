@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from .algebra import AModule, Violation
 from .algebroid import (LieRinehartAlgebroid, Representation, build_bracket_tensor,
                         validate_algebroid, validate_representation)
-from .cecomplex import ce_complex, insert_index
+from .cecomplex import CEComplex, ce_complex, koszul_terms
 from .errors import EngineError, NotWellDefined
-from .linalg import (Matrix, Subspace, complete_basis, image_subspace,
-                     kernel_subspace, kernel_vectors, rank, rref, solve)
+from .linalg import (Matrix, Subspace, add_block, class_coordinates, complete_basis,
+                     image_subspace, kernel_subspace, rank, rref)
 
 
 def amap_matrix(L_src: LieRinehartAlgebroid, L_dst: LieRinehartAlgebroid, acoords) -> Matrix:
@@ -233,114 +233,80 @@ def _descend_operator(op: Matrix, reps, cocycles: Subspace, boundaries: Subspace
     for b in boundaries.basis:
         if not boundaries.contains(op.apply(b)):
             raise NotWellDefined("operator does not preserve coboundaries")
-    cols = [list(v) for v in reps] + [list(v) for v in boundaries.basis]
-    h = len(reps)
+    if not reps:
+        return Matrix.zero(field, 0, 0)
     out_cols = []
     for z in reps:
-        w = op.apply(z)
-        if not cols:
-            out_cols.append(())
-            continue
-        x = solve(Matrix.from_rows(field, cols).transpose(), w)
+        x = class_coordinates(field, reps, boundaries, op.apply(z))
         if x is None:
             raise NotWellDefined("operator image leaves the cocycle space")
-        out_cols.append(x[:h])
-    if h == 0:
-        return Matrix.zero(field, 0, 0)
+        out_cols.append(x)
     return Matrix.from_rows(field, out_cols).transpose()
 
 
-def k_cohomology_data(ad: AdaptedExtension, q: int):
-    """(CE complex of K, cocycles, boundaries, representatives) in degree q."""
-    ceK = ce_complex(ad.K_sub, ad.rho_K)
+def k_cohomology_data(ceK: CEComplex, q: int):
+    """(cocycles, coboundaries, representatives) of the K-complex ceK in degree q."""
     cx = ceK.complex
-    if not (0 <= q <= ad.c):
-        empty = Subspace.zero(ad.L_ad.field, 0)
-        return ceK, empty, empty, []
+    f = cx.field
+    if not (0 <= q <= cx.top_degree):
+        empty = Subspace.zero(f, 0)
+        return empty, empty, []
     Z = kernel_subspace(cx.diff(q))
-    B = image_subspace(cx.diff(q - 1)) if q > 0 else Subspace.zero(ad.L_ad.field, cx.dims[q])
-    reps = complete_basis(B, kernel_vectors(cx.diff(q)))
-    return ceK, Z, B, reps
+    B = image_subspace(cx.diff(q - 1)) if q > 0 else Subspace.zero(f, cx.dims[q])
+    return Z, B, complete_basis(B, Z.basis)
 
 
 def _module_action_on_cochains(ad: AdaptedExtension, ceK, q: int, b: int) -> Matrix:
     """Multiplication by e_b on K-cochains (A-linear because K has zero anchor)."""
     f = ad.L_ad.field
     N = ad.rep.module.dim
-    tuples = ceK.tuples[q]
-    size = len(tuples) * N
-    act = ad.rep.module.action[b]
+    size = len(ceK.tuples[q]) * N
     rows = [[f.zero] * size for _ in range(size)]
-    for t in range(len(tuples)):
-        for nu in range(N):
-            for mu in range(N):
-                v = act.entries[nu][mu]
-                if v:
-                    rows[t * N + nu][t * N + mu] = v
+    for t in range(len(ceK.tuples[q])):
+        add_block(rows, t * N, t * N, ad.rep.module.action[b])
     return Matrix.from_rows(f, rows)
 
 
 def _lie_operator_on_k_cochains(ad: AdaptedExtension, ceK, q: int, section_index: int) -> Matrix:
-    """The action of an adapted L-section on K-q-cochains:
+    """The action of an adapted L-section u on K-q-cochains:
 
         (u . c)(k_T) = rho(u)(c(k_T)) - sum_pos c(.., [u, k_pos], ..)
+
+    The bracket terms are the Koszul terms of the tuple (u,) + T that pair slot 0
+    with slot pos + 1; their sign (-1)^(pos + pos_l + 1) is exactly the one needed.
     """
-    L_ad = ad.L_ad
-    f = L_ad.field
+    f = ad.L_ad.field
     N = ad.rep.module.dim
     tuples = ceK.tuples[q]
     index_q = {t: i for i, t in enumerate(tuples)}
     size = len(tuples) * N
-    rho_u = ad.R_ad.rho[section_index]
     rows = [[f.zero] * size for _ in range(size)]
     for ti, T in enumerate(tuples):
-        for nu in range(N):
-            for mu in range(N):
-                v = rho_u.entries[nu][mu]
-                if v:
-                    rows[ti * N + nu][index_q[T] * N + mu] += v
-        for pos in range(q):
-            i_k = T[pos]
-            coeffs = L_ad.bracket[section_index][i_k]
-            for l in range(ad.c, L_ad.n):
-                if any(coeffs[l]):
-                    raise NotWellDefined("bracket with the kernel leaves the kernel")
-            rest = T[:pos] + T[pos + 1:]
-            for l in range(ad.c):
-                fl = coeffs[l]
-                if not any(fl):
-                    continue
-                ins = insert_index(l, rest)
-                if ins is None:
-                    continue
-                pos_l, sgn_sort = ins
-                merged = rest[:pos_l] + (l,) + rest[pos_l:]
-                src = index_q[merged]
-                act = ad.rep.module.act_vec(fl)
-                # sorting l from slot `pos` to slot `pos_l` costs (-1)^(pos - pos_l)
-                sgn = sgn_sort if pos % 2 == 0 else -sgn_sort
-                for nu in range(N):
-                    for mu in range(N):
-                        v = act.entries[nu][mu]
-                        if v:
-                            val = v if sgn == 1 else -v
-                            rows[ti * N + nu][src * N + mu] -= val
+        add_block(rows, ti * N, ti * N, ad.R_ad.rho[section_index])
+        for sgn, pair, x, S in koszul_terms(ad.L_ad.bracket, (section_index,) + T):
+            if pair is None or pair[0] != 0:
+                continue
+            if S[-1] >= ad.c:
+                raise NotWellDefined("bracket with the kernel leaves the kernel")
+            add_block(rows, ti * N, index_q[S] * N, ad.rep.module.act_vec(x), sgn)
     return Matrix.from_rows(f, rows)
 
 
 def induced_q_rep(E: ExtensionTriple, R: Representation, q: int) -> Representation:
     """The representation of Q on H^q(K; M) induced through the splitting."""
     ad = adapt(E, R)
-    return induced_q_rep_adapted(ad, q)
+    return induced_q_rep_adapted(ad, ce_complex(ad.K_sub, ad.rho_K), q)
 
 
-def induced_q_rep_adapted(ad: AdaptedExtension, q: int) -> Representation:
+def induced_q_rep_adapted(ad: AdaptedExtension, ceK: CEComplex, q: int) -> Representation:
+    """The induced representation from the adapted extension and the CE complex
+    ceK of its kernel with coefficients rho_K."""
     f = ad.L_ad.field
     alg = ad.L_ad.algebra
     if not (0 <= q <= ad.c):
         modH = AModule(alg, 0, [Matrix.zero(f, 0, 0)] * alg.dim)
         return Representation(modH, [Matrix.zero(f, 0, 0)] * ad.r)
-    ceK, Z, B, reps = k_cohomology_data(ad, q)
+    Z, B, reps = k_cohomology_data(ceK, q)
     h = len(reps)
     act_mats = []
     for b in range(alg.dim):

@@ -21,7 +21,7 @@ from .errors import (DimMismatch, ExactnessFailure, FiltrationNotPreserved,
                      IncompatibleFiltration)
 from .extensions import (AdaptedExtension, ExtensionTriple, adapt,
                          induced_q_rep_adapted, k_cohomology_data)
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, add_block
 
 
 @dataclass
@@ -78,6 +78,7 @@ def hs_filtration(E: ExtensionTriple, R: Representation) -> HSFiltration:
 class HSPages:
     filtration: HSFiltration
     pages: list                   # [E_1, ..., E_{r_max}]
+    e2: SpectralPage              # always computed: check_e2 and the edge maps read it
     einf: SpectralPage
     stable_at: int
     convergence: dict             # n -> (sum of E_inf dims, dim H^n(L; M))
@@ -91,16 +92,20 @@ class HSPages:
 
 
 def hs_pages(E: ExtensionTriple, R: Representation, r_max: int | None = None) -> HSPages:
+    """Pages E_1..E_{r_max} (default: through the stabilization bound); E_2 is
+    computed whatever r_max is."""
     hf = hs_filtration(E, R)
     if r_max is None:
         r_max = hf.filtered.top_index + 1
-    pages, einf, report = spectral_pages(hf.filtered, r_max)
+    if r_max < 1:
+        raise ValueError("r_max must be >= 1")
+    pages, einf, report = spectral_pages(hf.filtered, max(r_max, 2))
     # sanity: the adapted complex computes the same dims as the original basis
     original = ce_dims(E.L, R)
     adapted = [hn for _, (_, hn) in sorted(report.convergence.items())]
     if original != adapted:
         raise DimMismatch("adapted-vs-original CE dims", adapted, original)
-    return HSPages(hf, pages, einf, report.stable_at, report.convergence)
+    return HSPages(hf, pages[:r_max], pages[1], einf, report.stable_at, report.convergence)
 
 
 def _module_tensor_forms(ad: AdaptedExtension, p: int) -> tuple[AModule, list]:
@@ -125,11 +130,7 @@ def _module_tensor_forms(ad: AdaptedExtension, p: int) -> tuple[AModule, list]:
     def blow_up(mat: Matrix) -> Matrix:
         rows = [[f.zero] * (copies * N) for _ in range(copies * N)]
         for t in range(copies):
-            for a in range(N):
-                for b in range(N):
-                    v = mat.entries[a][b]
-                    if v:
-                        rows[t * N + a][t * N + b] = v
+            add_block(rows, t * N, t * N, mat)
         return Matrix.from_rows(f, rows) if copies * N else Matrix.zero(f, 0, 0)
 
     mod = AModule(alg, copies * N, [blow_up(m) for m in ad.rep.module.action])
@@ -146,9 +147,8 @@ class PageCertificate:
         return all(a == b for a, b in self.table.values())
 
 
-def check_e1(E: ExtensionTriple, R: Representation, precomputed: HSPages | None = None) -> PageCertificate:
+def check_e1(hp: HSPages) -> PageCertificate:
     """E_1^{p,q} against H^q(K; M (x) Lambda^p Q^*) computed independently."""
-    hp = precomputed or hs_pages(E, R, r_max=1)
     ad = hp.filtration.adapted
     e1 = hp.page(1)
     table = {}
@@ -165,24 +165,18 @@ def check_e1(E: ExtensionTriple, R: Representation, precomputed: HSPages | None 
     return PageCertificate(table)
 
 
-def check_e2(E: ExtensionTriple, R: Representation, precomputed: HSPages | None = None) -> PageCertificate:
+def check_e2(hp: HSPages) -> PageCertificate:
     """E_2^{p,q} against H^p(Q; H^q(K; M)) via the induced representation."""
-    hp = precomputed or hs_pages(E, R, r_max=2)
     ad = hp.filtration.adapted
-    e2 = hp.page(2) if len(hp.pages) >= 2 else hp.pages[-1]
-    if e2.r != 2:
-        pages, _, _ = spectral_pages(hp.filtration.filtered, 2)
-        e2 = pages[1]
+    ceK = ce_complex(ad.K_sub, ad.rho_K)
     table = {}
     for q in range(ad.c + 1):
-        rep_q = induced_q_rep_adapted(ad, q)
-        dims = ce_dims(ad.Q_quot, rep_q)
+        dims = ce_dims(ad.Q_quot, induced_q_rep_adapted(ad, ceK, q))
         for p in range(ad.r + 1):
-            got = e2.dim(p, q)
-            expected = dims[p] if p <= ad.r else 0
-            table[(p, q)] = (got, expected)
-            if got != expected:
-                raise DimMismatch(("E2", p, q), got, expected)
+            got = hp.e2.dim(p, q)
+            table[(p, q)] = (got, dims[p])
+            if got != dims[p]:
+                raise DimMismatch(("E2", p, q), got, dims[p])
     return PageCertificate(table)
 
 
@@ -197,12 +191,10 @@ class FiveTerm:
         return all(self.exact)
 
 
-def five_term(E: ExtensionTriple, R: Representation,
-              precomputed: HSPages | None = None) -> FiveTerm:
+def five_term(hp: HSPages) -> FiveTerm:
     """Materialize 0 -> E2^{1,0} -> H^1 -> E2^{0,1} -> E2^{2,0} -> H^2 and
     verify exactness at each interior node."""
-    hp = precomputed or hs_pages(E, R, r_max=2)
-    em = edge_maps(hp.filtration.filtered)
+    em = edge_maps(hp.filtration.filtered, hp.e2)
     ft = FiveTerm(em, em.node_dims, em.exact)
     if not ft.all_exact:
         bad = [i for i, ok in enumerate(em.exact) if not ok]
@@ -213,17 +205,11 @@ def five_term(E: ExtensionTriple, R: Representation,
 def hs_report(E: ExtensionTriple, R: Representation, r_max: int | None = None):
     """One-stop structure for the CLI: filtration, pages, certificates, five-term."""
     hp = hs_pages(E, R, r_max)
-    e1 = check_e1(E, R, precomputed=hp if len(hp.pages) >= 1 else None)
-    e2 = check_e2(E, R, precomputed=hp if len(hp.pages) >= 2 else None)
-    ft = five_term(E, R, precomputed=hp)
-    return hp, e1, e2, ft
+    return hp, check_e1(hp), check_e2(hp), five_term(hp)
 
 
 def k_cohomology_dims(E: ExtensionTriple, R: Representation) -> list[int]:
     """dims of H^q(K; M), radiating the data check_e2 builds on."""
     ad = adapt(E, R)
-    out = []
-    for q in range(ad.c + 1):
-        _, _, _, reps = k_cohomology_data(ad, q)
-        out.append(len(reps))
-    return out
+    ceK = ce_complex(ad.K_sub, ad.rho_K)
+    return [len(k_cohomology_data(ceK, q)[2]) for q in range(ad.c + 1)]

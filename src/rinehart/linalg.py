@@ -49,7 +49,8 @@ class Matrix:
         return self.entries[i][j]
 
     def apply(self, v: Vector) -> Vector:
-        assert len(v) == self.cols, (len(v), self.cols)
+        if len(v) != self.cols:
+            raise ValueError(f"vector of length {len(v)} applied to a matrix with {self.cols} columns")
         z = self.field.zero
         out = []
         for i in range(self.rows):
@@ -62,7 +63,8 @@ class Matrix:
         return tuple(out)
 
     def mul(self, other: "Matrix") -> "Matrix":
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         z = self.field.zero
         out = []
         for i in range(self.rows):
@@ -106,6 +108,16 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows,
                       tuple(tuple(self.entries[i][j] for i in range(self.rows))
                             for j in range(self.cols)))
+
+
+def add_block(rows, r0, c0, block: Matrix, sign=1):
+    """rows[r0 + a][c0 + b] += sign * block[a][b] over the nonzero entries of
+    block, where rows is a list of row lists being assembled and sign is +1 or -1."""
+    for a, brow in enumerate(block.entries):
+        row = rows[r0 + a]
+        for b, v in enumerate(brow):
+            if v:
+                row[c0 + b] += v if sign == 1 else -v
 
 
 def _int_rows(rows):
@@ -266,6 +278,16 @@ def solve(m: Matrix, b: Vector):
                 acc = acc - row[j] * x[j]
         x[c] = acc / row[c]
     return tuple(x)
+
+
+def class_coordinates(field, reps, den: "Subspace", vector):
+    """Coefficients of vector on reps modulo den: solves [reps | den basis] x = vector
+    and keeps x[:len(reps)]; () when both are empty, None when there is no solution."""
+    cols = [list(v) for v in reps] + [list(v) for v in den.basis]
+    if not cols:
+        return ()
+    x = solve(Matrix.from_rows(field, cols).transpose(), tuple(vector))
+    return None if x is None else x[:len(reps)]
 
 
 class Subspace:

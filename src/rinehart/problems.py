@@ -53,6 +53,16 @@ def _parse_matrix(field, data, rows, cols, where):
                                     for r, row in enumerate(data)])
 
 
+def check_options(options: dict, where: str) -> dict:
+    """The PBW degree and the last page, when given, must be ints >= 1."""
+    for key in ("degree", "max_page"):
+        if key in options:
+            value = options[key]
+            _expect(type(value) is int and value >= 1,
+                    f"{where}{key} must be an int >= 1, got {value!r}")
+    return options
+
+
 @dataclass
 class ProblemFile:
     field: Field
@@ -196,6 +206,7 @@ def from_dict(data) -> ProblemFile:
         extension = _parse_extension(field, alg, L, data["extension"])
     options = data.get("options") or {}
     _expect(isinstance(options, dict), "options must be an object")
+    check_options(options, "options.")
     return ProblemFile(field, alg, L, module, complex_, extension, options)
 
 

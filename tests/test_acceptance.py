@@ -14,7 +14,7 @@ from rinehart.algebroid import validate_algebroid, validate_representation
 from rinehart.cecomplex import RepComplex, ce_complex, ce_dims, total_complex
 from rinehart.cli import render_json, run
 from rinehart.complexes import total_cohomology_dims
-from rinehart.enveloping import ext_dims, hom_complex_iso, rinehart_complex, truncated_enveloping
+from rinehart.enveloping import ext_dims, hom_complex_iso, rinehart_complex
 from rinehart.extensions import extension_from_k_indices, validate_extension
 from rinehart.hochschild import check_e1, check_e2, five_term, hs_pages
 from rinehart.linalg import Matrix
@@ -75,14 +75,13 @@ def test_acceptance_3_main_theorem_shadow():
     d = 3
     for e in catalog.positive_entries():
         L = e.algebroid
-        U = truncated_enveloping(L, d)
-        assert U.dim == L.m * comb(L.n + d, d), e.name
-        _, exact = rinehart_complex(L, d, U=U)
+        cx, exact = rinehart_complex(L, d)
+        assert cx.U.dim == L.m * comb(L.n + d, d), e.name
         assert exact.ok, e.name
         assert all(h == 0 for h in exact.homology.values()), e.name
-        cert = hom_complex_iso(L, e.representation, d, U=U)
+        cert = hom_complex_iso(cx, e.representation)
         assert cert.ok, e.name
-        exts = ext_dims(L, e.representation, d)
+        exts = ext_dims(exact, cert)
         assert [x for _, x in exts] == ce_dims(L, e.representation), e.name
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"enveloping suite took {elapsed:.2f}s"
@@ -96,10 +95,10 @@ def test_acceptance_4_spectral_suite():
         assert validate_extension(E) == [], name
         hp = hs_pages(E, entry.representation, r_max=2)
         assert hp.filtration.graded_ok, name
-        assert check_e1(E, entry.representation, precomputed=hp).ok, name
-        assert check_e2(E, entry.representation, precomputed=hp).ok, name
+        assert check_e1(hp).ok, name
+        assert check_e2(hp).ok, name
         assert hp.converged, name
-        ft = five_term(E, entry.representation, precomputed=hp)
+        ft = five_term(hp)
         assert ft.all_exact, name
     report_line(4, "gr/E1/E2 identifications, convergence and five-term exactness "
                    "hold on every corpus extension")

@@ -5,7 +5,7 @@ import pytest
 from rinehart.complexes import (CochainComplex, FilteredComplex, cohomology_at,
                                 edge_maps, spectral_pages, total_cohomology_dims)
 from rinehart.errors import (ConstructionInconsistent, DegreeOutOfRange,
-                             IncompatibleFiltration)
+                             EngineError, IncompatibleFiltration)
 from rinehart.fields import QQ
 from rinehart.linalg import Matrix, Subspace
 
@@ -136,7 +136,7 @@ def test_pages_invariant_under_basis_permutation():
 def test_edge_maps_trivial_filtration_identity_shaped():
     c = aff1_ce()
     fc = trivial_filtration(c)
-    em = edge_maps(fc)
+    em = edge_maps(fc, spectral_pages(fc, 2)[0][1])
     # restriction H^1 -> E2^{0,1} is the identity on the shared representatives
     assert em.restriction.rows == em.restriction.cols == 1
     assert em.restriction.entries[0][0] == Fraction(1)
@@ -145,7 +145,16 @@ def test_edge_maps_trivial_filtration_identity_shaped():
 
 
 def test_edge_maps_aff1_extension():
-    em = edge_maps(aff1_hs_filtration())
+    fc = aff1_hs_filtration()
+    em = edge_maps(fc, spectral_pages(fc, 2)[0][1])
     # 0 -> k -> k -> 0 -> 0 -> 0
     assert em.node_dims == (1, 1, 0, 0, 0)
     assert em.all_exact
+
+
+def test_page_representative_count_mismatch_raises(monkeypatch):
+    # a wrong number of page representatives is an engine error, not an assert
+    import rinehart.complexes as complexes_mod
+    monkeypatch.setattr(complexes_mod, "complete_basis", lambda base, candidates: [])
+    with pytest.raises(EngineError):
+        spectral_pages(aff1_hs_filtration(), 2)

@@ -1,11 +1,16 @@
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from rinehart import catalog
 from rinehart.cecomplex import ce_dims
-from rinehart.enveloping import (augmentation, ext_dims, hom_complex_iso,
-                                 rinehart_complex, truncated_enveloping)
+from rinehart.enveloping import (ExactnessReport, TruncatedEnveloping, augmentation,
+                                 ext_dims, hom_complex_iso, rinehart_complex,
+                                 truncated_enveloping)
+from rinehart.errors import EngineError, ExactnessFailure, MismatchAt
 from rinehart.fields import QQ
+from rinehart.linalg import Matrix
 
 
 def abelian_rank1():
@@ -186,9 +191,14 @@ def test_partial_is_u_linear_in_u():
                     assert lhs == rhs, (name, i, v, mono, J)
 
 
+def resolution_ext(L, R, d):
+    cx, report = rinehart_complex(L, d)
+    return ext_dims(report, hom_complex_iso(cx, R))
+
+
 def test_hom_iso_aff1_hand_matrices():
     e = catalog.aff1()
-    cert = hom_complex_iso(e.algebroid, e.representation, 3)
+    cert = hom_complex_iso(rinehart_complex(e.algebroid, 3)[0], e.representation)
     # trivial coefficients: d0 = 0, transferred d1 = (-1 0) including the sign
     assert cert.transferred[0].is_zero()
     assert cert.transferred[1].entries == ((Fraction(-1), Fraction(0)),)
@@ -196,30 +206,73 @@ def test_hom_iso_aff1_hand_matrices():
 
 def test_hom_iso_corpus():
     for e in catalog.positive_entries():
-        cert = hom_complex_iso(e.algebroid, e.representation, 3)
+        cert = hom_complex_iso(rinehart_complex(e.algebroid, 3)[0], e.representation)
         assert cert.ok, e.name
 
 
 def test_hom_iso_sl2_adjoint():
     e = catalog.sl2()
-    cert = hom_complex_iso(e.algebroid, e.extra_representations["adjoint"], 3)
+    cert = hom_complex_iso(rinehart_complex(e.algebroid, 3)[0],
+                           e.extra_representations["adjoint"])
     shapes = [(m.rows, m.cols) for m in cert.transferred]
     assert shapes == [(9, 3), (9, 9), (3, 9)]
 
 
+def test_hom_iso_reads_the_resolution():
+    # corrupt one entry of the generator column 1 (x) s_0 s_1 of partial_2: the
+    # bracket term -[s_0, s_1] (x) 1 = -1 (x) s_2; the transfer must notice
+    e = catalog.heisenberg3()
+    cx, _ = rinehart_complex(e.algebroid, 3)
+    U = cx.U
+    unit_mono = (0, (0, 0, 0))
+    col = cx.bases[2].index((unit_mono, (0, 1)))
+    row = cx.bases[1].index((unit_mono, (2,)))
+    rows = [list(r) for r in cx.partials[2].entries]
+    assert rows[row][col] == -U.field.one
+    rows[row][col] = -rows[row][col]
+    cx.partials[2] = Matrix.from_rows(U.field, rows)
+    with pytest.raises(MismatchAt) as err:
+        hom_complex_iso(cx, e.representation)
+    assert err.value.degree == 1
+
+
+def test_hom_iso_below_the_rank_transfers_what_exists():
+    # at cutoff 2 the resolution of h_3 has no generator in degree 3
+    e = catalog.heisenberg3()
+    cx, report = rinehart_complex(e.algebroid, 2)
+    cert = hom_complex_iso(cx, e.representation)
+    assert cert.degrees == [0, 1]
+    assert cert.ok is False
+    assert [d for _, d in ext_dims(report, cert)] == [1, 2, 2, 1]
+
+
+def test_ext_dims_refuses_an_inexact_resolution():
+    e = catalog.aff1()
+    cx, _ = rinehart_complex(e.algebroid, 3)
+    bad = ExactnessReport(3, {(1, 1): 1}, {})
+    with pytest.raises(ExactnessFailure):
+        ext_dims(bad, hom_complex_iso(cx, e.representation))
+
+
+def test_resolution_overflow_is_an_engine_error(monkeypatch):
+    monkeypatch.setattr(TruncatedEnveloping, "rmul_s_mono", lambda self, mono, j: ({}, True))
+    with pytest.raises(EngineError, match="escaped"):
+        rinehart_complex(catalog.aff1().algebroid, 2)
+
+
 def test_ext_dims_match_ce_corpus():
     for e in catalog.positive_entries():
-        exts = ext_dims(e.algebroid, e.representation, 3)
+        exts = resolution_ext(e.algebroid, e.representation, 3)
         assert [d for _, d in exts] == ce_dims(e.algebroid, e.representation), e.name
 
 
 def test_ext_dims_examples():
     e = catalog.abelian2()
-    assert [d for _, d in ext_dims(e.algebroid, e.representation, 3)] == [1, 2, 1]
+    assert [d for _, d in resolution_ext(e.algebroid, e.representation, 3)] == [1, 2, 1]
     e = catalog.sl2()
-    assert [d for _, d in ext_dims(e.algebroid, e.representation, 3)] == [1, 0, 0, 1]
+    assert [d for _, d in resolution_ext(e.algebroid, e.representation, 3)] == [1, 0, 0, 1]
     e = catalog.fatpoint_rank1()
-    assert [d for _, d in ext_dims(e.algebroid, e.representation, 3)] == [1, 1]
+    assert [d for _, d in resolution_ext(e.algebroid, e.representation, 3)] == [1, 1]
 
 
 def test_table_export_is_deterministic():

@@ -4,7 +4,7 @@ import pytest
 
 from rinehart import catalog
 from rinehart.algebroid import invariants, validate_representation
-from rinehart.cecomplex import ce_dims
+from rinehart.cecomplex import ce_complex, ce_dims
 from rinehart.errors import EngineError
 from rinehart.extensions import (adapt, extension_from_k_indices, induced_q_rep,
                                  induced_q_rep_adapted, validate_extension,
@@ -92,8 +92,9 @@ def test_induced_action_central_kernel_trivial():
 def test_induced_action_fatpoint():
     entry, E = make_ext("ext_fatpoint")
     ad = adapt(E, entry.representation)
+    ceK = ce_complex(ad.K_sub, ad.rho_K)
     for q in (0, 1):
-        rep = induced_q_rep_adapted(ad, q)
+        rep = induced_q_rep_adapted(ad, ceK, q)
         assert validate_representation(ad.Q_quot, rep) == []
 
 

@@ -89,27 +89,27 @@ def test_pages_fatpoint():
 def test_e1_identification_whole_corpus():
     for name, entry, k_indices, sigma in catalog.extension_entries():
         E = extension_from_k_indices(entry.algebroid, k_indices, sigma)
-        cert = check_e1(E, entry.representation)
+        cert = check_e1(hs_pages(E, entry.representation))
         assert cert.ok, name
 
 
 def test_e2_identification_whole_corpus():
     for name, entry, k_indices, sigma in catalog.extension_entries():
         E = extension_from_k_indices(entry.algebroid, k_indices, sigma)
-        cert = check_e2(E, entry.representation)
+        cert = check_e2(hs_pages(E, entry.representation))
         assert cert.ok, name
 
 
 def test_e1_aff1_table():
     entry, E = make("ext_aff1")
-    cert = check_e1(E, entry.representation)
+    cert = check_e1(hs_pages(E, entry.representation))
     assert cert.table[(0, 0)] == (1, 1)
     assert cert.table[(1, 1)] == (1, 1)
 
 
 def test_e2_aff1_table():
     entry, E = make("ext_aff1")
-    cert = check_e2(E, entry.representation)
+    cert = check_e2(hs_pages(E, entry.representation))
     assert {pq: got for pq, (got, _) in cert.table.items()} == \
         {(0, 0): 1, (1, 0): 1, (0, 1): 0, (1, 1): 0}
 
@@ -117,19 +117,19 @@ def test_e2_aff1_table():
 def test_five_term_whole_corpus():
     for name, entry, k_indices, sigma in catalog.extension_entries():
         E = extension_from_k_indices(entry.algebroid, k_indices, sigma)
-        ft = five_term(E, entry.representation)
+        ft = five_term(hs_pages(E, entry.representation))
         assert ft.all_exact, name
 
 
 def test_five_term_aff1_dims():
     entry, E = make("ext_aff1")
-    ft = five_term(E, entry.representation)
+    ft = five_term(hs_pages(E, entry.representation))
     assert ft.node_dims == (1, 1, 0, 0, 0)
 
 
 def test_five_term_heisenberg_dims():
     entry, E = make("ext_heis_center")
-    ft = five_term(E, entry.representation)
+    ft = five_term(hs_pages(E, entry.representation))
     assert ft.node_dims == (2, 2, 1, 1, 2)
     from rinehart.linalg import rank
     assert rank(ft.maps.transgression) == 1
@@ -147,8 +147,8 @@ def test_full_spectral_machinery_over_f2():
     E = extension_from_k_indices(entry.algebroid, [2])
     hp = hs_pages(E, entry.representation, r_max=3)
     assert hp.filtration.graded_ok
-    assert check_e1(E, entry.representation, precomputed=hp).ok
-    assert check_e2(E, entry.representation, precomputed=hp).ok
+    assert check_e1(hp).ok
+    assert check_e2(hp).ok
     assert hp.converged
-    assert five_term(E, entry.representation, precomputed=hp).all_exact
+    assert five_term(hp).all_exact
     assert hp.convergence == {0: (1, 1), 1: (2, 2), 2: (2, 2), 3: (1, 1)}

@@ -158,3 +158,12 @@ def test_rank_mod_p_matches_oracle():
         c = rng.randrange(1, 6)
         rows = [[rng.randrange(5) for _ in range(c)] for _ in range(r)]
         assert rank(pmat(5, rows)) == rank_mod_p(rows, 5)
+
+
+def test_shape_mismatch_raises_value_error():
+    # user-reachable shape checks must survive python -O
+    m = qmat([[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        m.apply((Fraction(1),))
+    with pytest.raises(ValueError):
+        m.mul(qmat([[1, 2, 3]]))

@@ -159,3 +159,63 @@ def test_hash_records_field_and_input():
     p1 = parse(PROBLEMS / "heisenberg3.json")
     p2 = parse(PROBLEMS / "heisenberg3_f2.json")
     assert problem_hash(p1) != problem_hash(p2)
+
+
+def test_env_degree_zero_is_input_error(capsys):
+    code = main(["env", str(PROBLEMS / "aff1.json"), "--degree", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and "degree" in err
+
+
+def test_hs_max_page_zero_is_input_error(capsys):
+    code = main(["hs", str(PROBLEMS / "ext_aff1.json"), "--max-page", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and "max_page" in err
+
+
+def test_string_degree_option_is_input_error(tmp_path, capsys):
+    data = json.loads((PROBLEMS / "aff1.json").read_text())
+    data["options"] = {"degree": "3"}
+    path = tmp_path / "string_degree.json"
+    path.write_text(json.dumps(data))
+    code = main(["env", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and "options.degree" in err
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_env_builds_the_resolution_once(monkeypatch):
+    import rinehart.cli as cli_mod
+    import rinehart.enveloping as env_mod
+    resolutions = count_calls(monkeypatch, cli_mod, "rinehart_complex")
+    exactness = count_calls(monkeypatch, env_mod, "check_exactness")
+    _, code = run("env", parse(PROBLEMS / "heisenberg3.json"), {"degree": 3})
+    assert code == 0
+    assert len(resolutions) == 1 and len(exactness) == 1
+
+
+@pytest.mark.parametrize("options", [{}, {"max_page": 1}])
+def test_hs_computes_the_pages_once(monkeypatch, options):
+    import rinehart.complexes as complexes_mod
+    import rinehart.hochschild as hochschild_mod
+    pages = count_calls(monkeypatch, hochschild_mod, "spectral_pages")
+    pages_inner = count_calls(monkeypatch, complexes_mod, "spectral_pages")
+    report, code = run("hs", parse(PROBLEMS / "ext_heis_center.json"), options)
+    assert code == 0
+    assert len(pages) + len(pages_inner) == 1
+    if options:
+        assert list(report["results"]["pages"]) == ["1"]
