@@ -327,7 +327,6 @@ class ExactnessReport:
 def check_exactness(cx: RinehartComplex) -> ExactnessReport:
     U = cx.U
     n = U.L.n
-    f = U.field
     homology = {}
     augmented = {}
     for t in range(U.cutoff + 1):
@@ -337,18 +336,18 @@ def check_exactness(cx: RinehartComplex) -> ExactnessReport:
             sub = _submatrix(cx.partials[i], slices[i - 1], slices[i])
             # the differential must preserve the filtration level
             full_cols = slices[i]
-            outside_rows = [r for r in range(len(cx.bases[i - 1])) if r not in set(slices[i - 1])]
+            inside = set(slices[i - 1])
+            outside_rows = [r for r in range(len(cx.bases[i - 1])) if r not in inside]
             if outside_rows and full_cols:
                 esc = _submatrix(cx.partials[i], outside_rows, full_cols)
                 if not esc.is_zero():
                     raise ExactnessFailure("differential does not preserve the filtration",
                                            witness=("filtration", t, i))
             mats[i] = sub
+        # ranks[i] = rank of partial_i on the level slice, 0 past the top degree
+        ranks = [0] + [rank(mats[i]) if slices[i] else 0 for i in range(1, n + 1)] + [0]
         for i in range(1, n + 1):
-            dim_i = len(slices[i])
-            r_out = rank(mats[i]) if dim_i else 0
-            r_in = rank(mats[i + 1]) if i + 1 <= n else 0
-            h = dim_i - r_out - r_in
+            h = len(slices[i]) - ranks[i] - ranks[i + 1]
             homology[(t, i)] = h
             if h:
                 raise ExactnessFailure(f"homology {h} at level t={t}, degree {i}",
@@ -356,9 +355,8 @@ def check_exactness(cx: RinehartComplex) -> ExactnessReport:
         eps_slice = _submatrix(cx.epsilon, list(range(U.alg.dim)), slices[0])
         r_eps = rank(eps_slice)
         ker_eps = len(slices[0]) - r_eps
-        r1 = rank(mats[1]) if n >= 1 else 0
-        augmented[t] = (ker_eps, r1, r_eps)
-        if ker_eps != r1:
+        augmented[t] = (ker_eps, ranks[1], r_eps)
+        if ker_eps != ranks[1]:
             raise ExactnessFailure(f"augmented complex not exact at C_0, level {t}",
                                    witness=(t, 0))
     return ExactnessReport(U.cutoff, homology, augmented)

@@ -55,14 +55,33 @@ class FpElement:
         return f"{self.v}"
 
 
+# Miller-Rabin on the first 13 prime bases decides primality exactly below
+# PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < PRIME_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -71,6 +90,9 @@ class Field:
 
     def __init__(self, kind: str, p: int | None = None):
         if kind == "prime":
+            if p is not None and p >= PRIME_BOUND:
+                raise ParseError(f"modulus {p} is too large: primality is decided "
+                                 f"exactly only below {PRIME_BOUND}")
             if p is None or not _is_prime(p):
                 raise ParseError(f"modulus {p!r} is not prime")
             self.zero = FpElement(0, p)

@@ -1,16 +1,17 @@
 """Exact matrices and subspace calculus over Q or F_p.
 
-Elimination strategy: fraction-free Bareiss over Q (rows are scaled to
-integers first, so all intermediate values are integers), plain Gaussian
-elimination over F_p.  Pivoting is deterministic -- leftmost column, first
-nonzero row -- which fixes every basis and representative the engine reports.
+One elimination engine serves both fields: `RowBasis`, an incremental reduced
+row echelon basis written against the scalar operators.  Each inserted vector
+is reduced by the rows at its pivots; if anything is left, its leftmost
+nonzero column becomes a new pivot and is cleared from the other rows.  The
+RREF, its pivot columns, the kernel vectors with a unit at each free column
+and the solution of m x = b with free coordinates zero are all unique, which
+fixes every basis and representative the engine reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .errors import NotASubspace
 from .fields import Field
@@ -120,163 +121,108 @@ def add_block(rows, r0, c0, block: Matrix, sign=1):
                 row[c0 + b] += v if sign == 1 else -v
 
 
-def _int_rows(rows):
-    """Scale each rational row to coprime integers (rank/kernel are unaffected)."""
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def _sub_scaled(w: dict, f, row: dict):
+    """w -= f * row on sparse rows {col: value}, dropping entries that cancel."""
+    for j, x in row.items():
+        if j in w:
+            y = w[j] - f * x
+            if y:
+                w[j] = y
+            else:
+                del w[j]
+        else:
+            w[j] = -(f * x)
 
 
-def _echelon_rational(rows):
-    """Fraction-free Bareiss elimination; returns (echelon rows as Fractions, pivot cols)."""
-    M = _int_rows(rows)
-    nr = len(M)
-    nc = len(M[0]) if nr else 0
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(nc):
-        if r == nr:
-            break
-        k = None
-        for i in range(r, nr):
-            if M[i][c] != 0:
-                k = i
-                break
-        if k is None:
-            continue
-        if k != r:
-            M[r], M[k] = M[k], M[r]
-        piv = M[r][c]
-        for i in range(r + 1, nr):
-            mic = M[i][c]
-            for j in range(c, nc):
-                M[i][j] = (piv * M[i][j] - mic * M[r][j]) // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-    ech = [tuple(Fraction(v) for v in row) for row in M[:len(pivots)]]
-    return ech, pivots
+class RowBasis:
+    """Incremental reduced row echelon basis of a span in k^n.
+
+    `rows` maps each pivot column to a sparse row {col: value} that is 1 at its
+    own pivot and 0 at every other pivot, so the rows in pivot order are the
+    RREF of the span and every pivot is the leftmost nonzero of its row.
+    """
+
+    def __init__(self, field, n):
+        self.field = field
+        self.n = n
+        self.rows = {}
+
+    def copy(self) -> "RowBasis":
+        out = RowBasis(self.field, self.n)
+        out.rows = {c: dict(row) for c, row in self.rows.items()}
+        return out
+
+    def pivots(self) -> list:
+        return sorted(self.rows)
+
+    def dense(self, c) -> Vector:
+        row, z = self.rows[c], self.field.zero
+        return tuple(row.get(j, z) for j in range(self.n))
+
+    def reduce(self, v) -> dict:
+        """Nonzero entries of v minus its part in the span: empty iff v lies in it."""
+        w = {j: x for j, x in enumerate(v) if x}
+        for c in [c for c in w if c in self.rows]:
+            _sub_scaled(w, w[c], self.rows[c])
+        return w
+
+    def add(self, v) -> bool:
+        """Insert v; False, with nothing changed, when v is already in the span."""
+        w = self.reduce(v)
+        if not w:
+            return False
+        c = min(w)
+        inv = self.field.one / w[c]
+        new = {j: x * inv for j, x in w.items()}
+        for row in self.rows.values():
+            if c in row:
+                _sub_scaled(row, row[c], new)
+        self.rows[c] = new
+        return True
 
 
-def _echelon_prime(rows, field):
-    """Naive Gaussian elimination with normalized pivots."""
-    M = [list(row) for row in rows]
-    nr = len(M)
-    nc = len(M[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        k = None
-        for i in range(r, nr):
-            if M[i][c]:
-                k = i
-                break
-        if k is None:
-            continue
-        if k != r:
-            M[r], M[k] = M[k], M[r]
-        inv = field.one / M[r][c]
-        M[r] = [inv * x for x in M[r]]
-        for i in range(r + 1, nr):
-            if M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    ech = [tuple(row) for row in M[:len(pivots)]]
-    return ech, pivots
-
-
-def echelon(m: Matrix):
-    """Row echelon form (pivot rows only) plus pivot columns."""
-    if m.rows == 0 or m.cols == 0:
-        return [], []
-    if m.field.kind == "rational":
-        return _echelon_rational(m.entries)
-    return _echelon_prime(m.entries, m.field)
+def echelon(m: Matrix) -> RowBasis:
+    """Reduced row echelon basis of the row space of m."""
+    basis = RowBasis(m.field, m.cols)
+    for row in m.entries:
+        basis.add(row)
+    return basis
 
 
 def rref(m: Matrix):
     """Reduced row echelon form: unique, used as the canonical basis of a span."""
-    ech, pivots = echelon(m)
-    field = m.field
-    rows = [list(r) for r in ech]
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        inv = field.one / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(r):
-            f = rows[i][c]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-    return [tuple(r) for r in rows], pivots
+    basis = echelon(m)
+    pivots = basis.pivots()
+    return [basis.dense(c) for c in pivots], pivots
 
 
 def rank(m: Matrix) -> int:
     """Rank over the matrix field, by exact elimination."""
-    return len(echelon(m)[1])
-
-
-def _back_substitute(ech, pivots, ncols, free_col, field):
-    """Kernel vector with coordinate 1 at free_col, solved against the echelon rows."""
-    x = [field.zero] * ncols
-    x[free_col] = field.one
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        acc = field.zero
-        row = ech[r]
-        for j in range(c + 1, ncols):
-            if x[j] and row[j]:
-                acc = acc + row[j] * x[j]
-        x[c] = -acc / row[c]
-    return tuple(x)
+    return len(echelon(m).rows)
 
 
 def kernel_vectors(m: Matrix):
-    """Basis of the null space {v : m v = 0}, one vector per free column."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [tuple(m.field.one if i == j else m.field.zero for i in range(m.cols))
-                for j in range(m.cols)]
-    ech, pivots = echelon(m)
-    pivset = set(pivots)
-    return [_back_substitute(ech, pivots, m.cols, c, m.field)
-            for c in range(m.cols) if c not in pivset]
+    """Basis of the null space {v : m v = 0}: for each free column j, the unit
+    vector at j with -row[j] at the pivot of each echelon row."""
+    basis = echelon(m)
+    z, o = m.field.zero, m.field.one
+    free = {j: [o if i == j else z for i in range(m.cols)]
+            for j in range(m.cols) if j not in basis.rows}
+    for c, row in basis.rows.items():
+        for j, x in row.items():
+            if j != c:
+                free[j][c] = -x
+    return [tuple(free[j]) for j in sorted(free)]
 
 
 def solve(m: Matrix, b: Vector):
     """One solution of m x = b with free coordinates set to zero, or None."""
-    if m.cols == 0:
-        return () if all(not v for v in b) else None
-    if m.rows == 0:
-        return tuple(m.field.zero for _ in range(m.cols))
-    aug = Matrix.from_rows(m.field, [row + (bv,) for row, bv in zip(m.entries, b)])
-    ech, pivots = echelon(aug)
-    if pivots and pivots[-1] == m.cols:
+    aug = echelon(Matrix.from_rows(m.field, [row + (bv,) for row, bv in zip(m.entries, b)]))
+    if m.cols in aug.rows:
         return None
     x = [m.field.zero] * m.cols
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        row = ech[r]
-        acc = row[m.cols]
-        for j in range(c + 1, m.cols):
-            if x[j] and row[j]:
-                acc = acc - row[j] * x[j]
-        x[c] = acc / row[c]
+    for c, row in aug.rows.items():
+        x[c] = row.get(m.cols, m.field.zero)
     return tuple(x)
 
 
@@ -294,19 +240,28 @@ class Subspace:
     """A subspace of k^ambient, held as an explicit independent basis.
 
     The basis is whatever the caller constructed (e.g. chosen representatives);
-    `canonical()` gives the unique RREF basis used for membership and equality.
+    its reduced echelon form, built once with it, answers membership, and
+    `canonical()` reads it as the unique RREF basis used for equality.
     """
 
     def __init__(self, field, ambient_dim, basis):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = [tuple(v) for v in basis]
-        for v in self.basis:
-            if len(v) != ambient_dim:
-                raise ValueError("basis vector of wrong length")
-        self._canon = None
-        if self.basis and rank(Matrix.from_rows(field, self.basis)) != len(self.basis):
-            raise ValueError("basis vectors are linearly dependent")
+        self.basis = []
+        self._rows = RowBasis(field, ambient_dim)
+        for v in basis:
+            if not self._keep(v):
+                raise ValueError("basis vectors are linearly dependent")
+
+    def _keep(self, v) -> bool:
+        """Append v to the basis if it is independent of it; False otherwise."""
+        v = tuple(v)
+        if len(v) != self.ambient_dim:
+            raise ValueError("basis vector of wrong length")
+        if not self._rows.add(v):
+            return False
+        self.basis.append(v)
+        return True
 
     @property
     def dim(self):
@@ -326,33 +281,19 @@ class Subspace:
     @staticmethod
     def span(field, ambient_dim, vectors):
         """Greedy independent subset of `vectors`, kept in their given order."""
-        basis = []
-        r = 0
+        out = Subspace(field, ambient_dim, [])
         for v in vectors:
-            cand = basis + [tuple(v)]
-            if rank(Matrix.from_rows(field, cand)) > r:
-                basis = cand
-                r += 1
-        return Subspace(field, ambient_dim, basis)
+            out._keep(v)
+        return out
 
     def canonical(self):
-        if self._canon is None:
-            if not self.basis:
-                self._canon = []
-            else:
-                self._canon = rref(Matrix.from_rows(self.field, self.basis))[0]
-        return self._canon
+        return [self._rows.dense(c) for c in self._rows.pivots()]
 
     def is_full(self):
         return self.dim == self.ambient_dim
 
     def contains(self, v) -> bool:
-        if not any(v):
-            return True
-        if not self.basis:
-            return False
-        m = Matrix.from_rows(self.field, self.basis + [tuple(v)])
-        return rank(m) == self.dim
+        return not self._rows.reduce(v)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -423,8 +364,7 @@ class Subspace:
 
 def image_subspace(m: Matrix) -> Subspace:
     """Column space of m, with the pivot columns of m as basis."""
-    _, piv_cols = echelon(m)
-    basis = [m.column(j) for j in piv_cols]
+    basis = [m.column(j) for j in echelon(m).pivots()]
     return Subspace(m.field, m.rows, basis)
 
 
@@ -434,16 +374,8 @@ def kernel_subspace(m: Matrix) -> Subspace:
 
 def complete_basis(base: Subspace, candidates) -> list:
     """Candidates (in order) that extend `base` to an independent family."""
-    chosen = []
-    cur = base.basis[:]
-    r = len(cur)
-    for v in candidates:
-        trial = cur + [tuple(v)]
-        if rank(Matrix.from_rows(base.field, trial)) > r:
-            cur = trial
-            r += 1
-            chosen.append(tuple(v))
-    return chosen
+    rows = base._rows.copy()
+    return [tuple(v) for v in candidates if rows.add(v)]
 
 
 def quotient_dim(V: Subspace, W: Subspace):

@@ -83,7 +83,12 @@ def _parse_field(data) -> Field:
         return QQ
     if data["type"] == "prime":
         _expect("p" in data, "field.p is required for prime fields")
-        return GF(data["p"])
+        p = data["p"]
+        _expect(type(p) is int, f"field.p must be an int, got {p!r}")
+        try:
+            return GF(p)
+        except ParseError as e:
+            raise ParseError(f"field.p: {e}") from e
     raise ParseError(f"field.type {data['type']!r} is not rational|prime")
 
 

@@ -1,10 +1,12 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from rinehart.cli import main, render_json, run
 from rinehart.errors import ShapeError
+from rinehart.fields import PRIME_BOUND
 from rinehart.problems import (canonical_json, from_dict, parse, problem_hash,
                                to_dict)
 
@@ -184,6 +186,47 @@ def test_string_degree_option_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "input error" in err and "options.degree" in err
+
+
+def validate_with_field(tmp_path, field):
+    data = json.loads((PROBLEMS / "heisenberg3.json").read_text())
+    data["field"] = field
+    path = tmp_path / "retyped.json"
+    path.write_text(json.dumps(data))
+    return main(["validate", str(path), "--format", "json"])
+
+
+@pytest.mark.parametrize("p", ["7", 7.0, True, None, [7]])
+def test_non_int_modulus_is_input_error(tmp_path, capsys, p):
+    code = validate_with_field(tmp_path, {"type": "prime", "p": p})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and "field.p must be an int" in err
+
+
+def test_mersenne_61_modulus_is_accepted_quickly(tmp_path, capsys):
+    start = time.perf_counter()
+    code = validate_with_field(tmp_path, {"type": "prime", "p": 2**61 - 1})
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["field"] == f"F_{2**61 - 1}"
+
+
+# 561 is a Carmichael number; 318665857834031151167461 is a strong pseudoprime
+# to the first 12 prime bases, so it needs the 13th (41) to be rejected
+@pytest.mark.parametrize("p", [1, 4, 561, 2**61 + 1, 318665857834031151167461])
+def test_composite_modulus_is_input_error(tmp_path, capsys, p):
+    code = validate_with_field(tmp_path, {"type": "prime", "p": p})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "field.p" in err and "not prime" in err
+
+
+def test_modulus_above_primality_bound_is_input_error(tmp_path, capsys):
+    code = validate_with_field(tmp_path, {"type": "prime", "p": PRIME_BOUND + 2})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "field.p" in err and "too large" in err
 
 
 def count_calls(monkeypatch, module, name):
