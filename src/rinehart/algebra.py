@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Subspace, kernel_subspace
+from .linalg import Matrix, Subspace, combination, kernel_subspace
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,7 @@ class AModule:
 
     def act_vec(self, f) -> Matrix:
         """Action matrix of the algebra element with coordinates f."""
-        out = Matrix.zero(self.field, self.dim, self.dim)
-        for c, mtx in zip(f, self.action):
-            if c:
-                out = out.add(mtx.scale(c))
-        return out
+        return combination(self.field, self.dim, self.dim, zip(f, self.action))
 
     def validate(self) -> list[Violation]:
         out = []

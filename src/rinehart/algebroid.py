@@ -8,15 +8,19 @@ derived from the declared data through the Leibniz rule
 
 never input directly.  Validation checks antisymmetry, the Jacobi identity on
 every k-basis triple of that closure, and that the anchor is a morphism of
-k-Lie algebras.
+k-Lie algebras.  The anchor makes A itself a representation of L, so that last
+check is the flatness check of that representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
-from .algebra import AModule, FiniteAlgebra, Violation, is_derivation, validate_algebra
-from .linalg import Matrix, Subspace, kernel_subspace
+from .algebra import (AModule, FiniteAlgebra, Violation, is_derivation, regular_module,
+                      validate_algebra)
+from .linalg import Matrix, Subspace, combination, kernel_subspace
 
 
 class LieRinehartAlgebroid:
@@ -39,8 +43,8 @@ class LieRinehartAlgebroid:
             for row in plane:
                 if len(row) != rank or any(len(v) != self.m for v in row):
                     raise ValueError("bracket entries must be rank x dim coefficient arrays")
-        self._mult = [algebra.mult_matrix(algebra.basis_vector(a)) for a in range(self.m)]
         self._tensor = None
+        self._anchor_rep = None
 
     @property
     def kdim(self) -> int:
@@ -60,23 +64,10 @@ class LieRinehartAlgebroid:
     def k_to_acoords(self, v):
         return [tuple(v[i * self.m:(i + 1) * self.m]) for i in range(self.n)]
 
-    def anchor_hat(self, i, a) -> Matrix:
-        """Anchor of e_a s_i as a derivation matrix (A-linearity of the anchor)."""
-        return self._mult[a].mul(self.anchors[i])
-
-    def anchor_of_vector(self, v) -> Matrix:
-        out = Matrix.zero(self.field, self.m, self.m)
-        for i in range(self.n):
-            for a in range(self.m):
-                c = v[self.kindex(i, a)]
-                if c:
-                    out = out.add(self.anchor_hat(i, a).scale(c))
-        return out
-
     def algebra_action_on_sections(self, b) -> Matrix:
         """Multiplication by e_b on L in k-coordinates (block diagonal)."""
         f = self.field
-        blk = self._mult[b]
+        blk = self.algebra.mult_matrix(self.algebra.basis_vector(b))
         size = self.kdim
         rows = [[f.zero] * size for _ in range(size)]
         for i in range(self.n):
@@ -159,35 +150,23 @@ def validate_algebroid(L: LieRinehartAlgebroid) -> list[Violation]:
         return out
     t = build_bracket_tensor(L)
     size = L.kdim
-    zero = tuple(L.field.zero for _ in range(size))
     for u in range(size):
-        if t.of_basis(u, u) != zero:
+        if any(t.of_basis(u, u)):
             out.append(Violation("alternating", (u,)))
         for v in range(u + 1, size):
-            plus = tuple(x + y for x, y in zip(t.of_basis(u, v), t.of_basis(v, u)))
-            if plus != zero:
+            if any(x + y for x, y in zip(t.of_basis(u, v), t.of_basis(v, u))):
                 out.append(Violation("antisymmetry", (u, v)))
-    for u in range(size):
-        for v in range(u + 1, size):
-            for w in range(v + 1, size):
-                jac = [L.field.zero] * size
-                for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
-                    inner = t.of_basis(x, y)
-                    term = t.of_vectors(inner, tuple(L.field.one if s == z else L.field.zero
-                                                     for s in range(size)))
-                    jac = [p + q for p, q in zip(jac, term)]
-                if any(jac):
-                    out.append(Violation("jacobi", (u, v, w)))
-    for u in range(size):
-        au = L.anchor_of_vector(tuple(L.field.one if s == u else L.field.zero
-                                      for s in range(size)))
-        for v in range(u + 1, size):
-            av = L.anchor_of_vector(tuple(L.field.one if s == v else L.field.zero
-                                          for s in range(size)))
-            abr = L.anchor_of_vector(t.of_basis(u, v))
-            comm = au.mul(av).sub(av.mul(au))
-            if not abr.sub(comm).is_zero():
-                out.append(Violation("anchor-morphism", (u, v)))
+    # [[b_x, b_y], b_z] = sum_s [b_x, b_y]_s [b_s, b_z], over the nonzero table entries
+    sparse = [[[(k, c) for k, c in enumerate(w) if c] for w in row] for row in t.table]
+    for x, y, z in combinations(range(size), 3):
+        jac = [L.field.zero] * size
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+            for s, c in sparse[p][q]:
+                for k, w in sparse[s][r]:
+                    jac[k] = jac[k] + c * w
+        if any(jac):
+            out.append(Violation("jacobi", (x, y, z)))
+    out.extend(_morphism_violations(L, anchor_representation(L), "anchor-morphism"))
     return out
 
 
@@ -197,18 +176,15 @@ class Representation:
     module: AModule
     rho: list   # one dim x dim Matrix per basis section of L
 
-    def rho_hat(self, L: LieRinehartAlgebroid, i, a) -> Matrix:
-        """Action of e_a s_i, extended A-linearly."""
-        return self.module.action[a].mul(self.rho[i])
+    @cached_property
+    def basis_actions(self) -> list:
+        """Action e_a . rho(s_i) of each k-basis element e_a s_i of L, at its
+        flat index i m + a (A-linear extension of rho)."""
+        return [act.mul(r) for r in self.rho for act in self.module.action]
 
     def rho_of_vector(self, L: LieRinehartAlgebroid, v) -> Matrix:
-        out = Matrix.zero(self.module.field, self.module.dim, self.module.dim)
-        for i in range(L.n):
-            for a in range(L.m):
-                c = v[L.kindex(i, a)]
-                if c:
-                    out = out.add(self.rho_hat(L, i, a).scale(c))
-        return out
+        N = self.module.dim
+        return combination(self.module.field, N, N, zip(v, self.basis_actions))
 
 
 def trivial_representation(L: LieRinehartAlgebroid) -> Representation:
@@ -222,9 +198,22 @@ def trivial_representation(L: LieRinehartAlgebroid) -> Representation:
 
 
 def anchor_representation(L: LieRinehartAlgebroid) -> Representation:
-    """A as a representation of L, acting through the anchor."""
-    from .algebra import regular_module
-    return Representation(regular_module(L.algebra), list(L.anchors))
+    """A as a representation of L, acting through the anchor; built once per L."""
+    if L._anchor_rep is None:
+        L._anchor_rep = Representation(regular_module(L.algebra), list(L.anchors))
+    return L._anchor_rep
+
+
+def _morphism_violations(L: LieRinehartAlgebroid, R: Representation, axiom) -> list[Violation]:
+    """R([b_u, b_v]) = [R(b_u), R(b_v)] on every k-basis pair u < v."""
+    t = build_bracket_tensor(L)
+    hats = R.basis_actions
+    out = []
+    for u, v in combinations(range(L.kdim), 2):
+        comm = hats[u].mul(hats[v]).sub(hats[v].mul(hats[u]))
+        if R.rho_of_vector(L, t.of_basis(u, v)) != comm:
+            out.append(Violation(axiom, (u, v)))
+    return out
 
 
 def validate_representation(L: LieRinehartAlgebroid, R: Representation) -> list[Violation]:
@@ -239,25 +228,13 @@ def validate_representation(L: LieRinehartAlgebroid, R: Representation) -> list[
             rhs = mod.act_vec(L.anchors[i].apply(L.algebra.basis_vector(b)))
             if not lhs.sub(rhs).is_zero():
                 out.append(Violation("symbol", (i, b)))
-    t = build_bracket_tensor(L)
-    size = L.kdim
-    hats = [R.rho_hat(L, u // L.m, u % L.m) for u in range(size)]
-    for u in range(size):
-        for v in range(u + 1, size):
-            lhs = R.rho_of_vector(L, t.of_basis(u, v))
-            comm = hats[u].mul(hats[v]).sub(hats[v].mul(hats[u]))
-            if not lhs.sub(comm).is_zero():
-                out.append(Violation("flatness", (u, v)))
-    return out
+    return out + _morphism_violations(L, R, "flatness")
 
 
 def invariants(L: LieRinehartAlgebroid, R: Representation) -> Subspace:
     """{m in M : rho(u)(m) = 0 for every k-basis element u of L}."""
     f = R.module.field
-    rows = []
-    for u in range(L.kdim):
-        mat = R.rho_hat(L, u // L.m, u % L.m)
-        rows.extend(mat.entries)
+    rows = [row for mat in R.basis_actions for row in mat.entries]
     if not rows:
         return Subspace.full(f, R.module.dim)
     return kernel_subspace(Matrix.from_rows(f, rows))

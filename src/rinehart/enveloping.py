@@ -30,8 +30,8 @@ from .algebroid import LieRinehartAlgebroid, Representation
 from .cecomplex import CEComplex, ce_complex, koszul_terms
 from .complexes import CochainComplex, cohomology_at
 from .errors import EngineError, ExactnessFailure, MismatchAt
-from .linalg import (Matrix, Subspace, add_block, image_subspace, kernel_subspace,
-                     rank)
+from .linalg import (Matrix, Subspace, add_block, combination, image_subspace,
+                     kernel_subspace, rank)
 
 
 def _monomials(n, dmax):
@@ -214,10 +214,9 @@ class TruncatedEnveloping:
         return out
 
     def element_action_on_module(self, elem, R: Representation) -> Matrix:
-        out = Matrix.zero(self.field, R.module.dim, R.module.dim)
-        for mono, c in elem.items():
-            out = out.add(self.action_on_module(mono, R).scale(c))
-        return out
+        N = R.module.dim
+        return combination(self.field, N, N,
+                           ((c, self.action_on_module(mono, R)) for mono, c in elem.items()))
 
     def augmentation_matrix(self) -> Matrix:
         """epsilon(u) = u . 1 as a map from U-coordinates to A-coordinates."""

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AModule, Violation
-from .algebroid import (LieRinehartAlgebroid, Representation, build_bracket_tensor,
-                        validate_algebroid, validate_representation)
+from .algebroid import (LieRinehartAlgebroid, Representation, anchor_representation,
+                        build_bracket_tensor, validate_algebroid, validate_representation)
 from .cecomplex import CEComplex, ce_complex, koszul_terms
 from .errors import EngineError, NotWellDefined
 from .linalg import (Matrix, Subspace, add_block, class_coordinates, complete_basis,
@@ -109,13 +109,14 @@ def validate_extension(E: ExtensionTriple) -> list[Violation]:
         if not d.is_zero():
             out.append(Violation("kernel-anchor-nonzero", (i,)))
     tK, tL, tQ = (build_bracket_tensor(X) for X in (K, L, Q))
+    aK, aL, aQ = (anchor_representation(X) for X in (K, L, Q))
 
     def basis(dim, u):
         return tuple(f.one if t == u else f.zero for t in range(dim))
 
     for u in range(K.kdim):
         eu = basis(K.kdim, u)
-        if not L.anchor_of_vector(im.apply(eu)).sub(K.anchor_of_vector(eu)).is_zero():
+        if aL.rho_of_vector(L, im.apply(eu)) != aK.basis_actions[u]:
             out.append(Violation("iota-anchor", (u,)))
         for v in range(u + 1, K.kdim):
             ev = basis(K.kdim, v)
@@ -125,7 +126,7 @@ def validate_extension(E: ExtensionTriple) -> list[Violation]:
                 out.append(Violation("iota-bracket", (u, v)))
     for u in range(L.kdim):
         eu = basis(L.kdim, u)
-        if not Q.anchor_of_vector(pm.apply(eu)).sub(L.anchor_of_vector(eu)).is_zero():
+        if aQ.rho_of_vector(Q, pm.apply(eu)) != aL.basis_actions[u]:
             out.append(Violation("pi-anchor", (u,)))
         for v in range(u + 1, L.kdim):
             ev = basis(L.kdim, v)
@@ -191,7 +192,7 @@ def adapt(E: ExtensionTriple, R: Representation) -> AdaptedExtension:
                 v[L.kindex(l, a)] = new_acoords[t][l][a]
         kvecs.append(tuple(v))
     tL = build_bracket_tensor(L)
-    anchors_ad = [L.anchor_of_vector(v) for v in kvecs]
+    anchors_ad = [anchor_representation(L).rho_of_vector(L, v) for v in kvecs]
     rho_ad = [R.rho_of_vector(L, v) for v in kvecs]
     bracket_ad = []
     for i in range(n):

@@ -80,12 +80,6 @@ class Matrix:
             out.append(tuple(out_row))
         return Matrix(self.field, self.rows, other.cols, tuple(out))
 
-    def add(self, other: "Matrix") -> "Matrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(a + b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
-
     def sub(self, other: "Matrix") -> "Matrix":
         assert (self.rows, self.cols) == (other.rows, other.cols)
         return Matrix(self.field, self.rows, self.cols,
@@ -109,6 +103,22 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows,
                       tuple(tuple(self.entries[i][j] for i in range(self.rows))
                             for j in range(self.cols)))
+
+
+def combination(field, rows, cols, terms) -> Matrix:
+    """The rows x cols matrix sum of c * m over the (c, m) pairs of terms, in
+    one pass over the nonzero entries; an empty sum is the zero matrix."""
+    acc = [[field.zero] * cols for _ in range(rows)]
+    for c, m in terms:
+        if not c:
+            continue
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError(f"{m.rows}x{m.cols} term in a {rows}x{cols} combination")
+        for out, row in zip(acc, m.entries):
+            for j, x in enumerate(row):
+                if x:
+                    out[j] = out[j] + c * x
+    return Matrix(field, rows, cols, tuple(tuple(r) for r in acc))
 
 
 def add_block(rows, r0, c0, block: Matrix, sign=1):

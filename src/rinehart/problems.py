@@ -97,7 +97,7 @@ def _parse_algebra(field, data) -> FiniteAlgebra:
     for key in ("dim", "unit", "mult"):
         _expect(key in data, f"algebra.{key} is required")
     m = data["dim"]
-    _expect(isinstance(m, int) and m >= 1, "algebra.dim must be a positive int")
+    _expect(type(m) is int and m >= 1, "algebra.dim must be a positive int")
     unit = _parse_vector(field, data["unit"], m, "algebra.unit")
     _expect(isinstance(data["mult"], list) and len(data["mult"]) == m,
             f"algebra.mult must have length {m}")
@@ -115,7 +115,7 @@ def _parse_algebroid(field, alg, data) -> LieRinehartAlgebroid:
         _expect(key in data, f"algebroid.{key} is required")
     n = data["rank"]
     m = alg.dim
-    _expect(isinstance(n, int) and n >= 0, "algebroid.rank must be a non-negative int")
+    _expect(type(n) is int and n >= 0, "algebroid.rank must be a non-negative int")
     _expect(isinstance(data["anchor"], list) and len(data["anchor"]) == n,
             f"algebroid.anchor must have length {n}")
     anchors = [_parse_matrix(field, a, m, m, f"algebroid.anchor[{i}]")
@@ -141,7 +141,7 @@ def _parse_module(field, alg, L, data, where="module") -> Representation:
     for key in ("dim", "action", "rho"):
         _expect(key in data, f"{where}.{key} is required")
     N = data["dim"]
-    _expect(isinstance(N, int) and N >= 0, f"{where}.dim must be a non-negative int")
+    _expect(type(N) is int and N >= 0, f"{where}.dim must be a non-negative int")
     _expect(isinstance(data["action"], list) and len(data["action"]) == alg.dim,
             f"{where}.action must have length {alg.dim}")
     action = [_parse_matrix(field, a, N, N, f"{where}.action[{i}]")
@@ -157,7 +157,7 @@ def _parse_extension(field, alg, L, data) -> dict:
     _expect(isinstance(data, dict), "extension must be an object")
     _expect("k_indices" in data, "extension.k_indices is required")
     ks = data["k_indices"]
-    _expect(isinstance(ks, list) and all(isinstance(i, int) and 0 <= i < L.n for i in ks)
+    _expect(isinstance(ks, list) and all(type(i) is int and 0 <= i < L.n for i in ks)
             and len(set(ks)) == len(ks),
             "extension.k_indices must be distinct indices into the algebroid basis")
     out = {"k_indices": list(ks), "splitting": None}
@@ -198,6 +198,8 @@ def from_dict(data) -> ProblemFile:
         cdata = data["complex"]
         _expect(isinstance(cdata, dict) and "modules" in cdata and "maps" in cdata,
                 "complex needs modules and maps")
+        for key in ("modules", "maps"):
+            _expect(isinstance(cdata[key], list), f"complex.{key} must be a list")
         mods = [_parse_module(field, alg, L, md, where=f"complex.modules[{i}]")
                 for i, md in enumerate(cdata["modules"])]
         _expect(len(cdata["maps"]) == max(len(mods) - 1, 0),

@@ -262,3 +262,54 @@ def test_hs_computes_the_pages_once(monkeypatch, options):
     assert len(pages) + len(pages_inner) == 1
     if options:
         assert list(report["results"]["pages"]) == ["1"]
+
+
+def run_edited(tmp_path, name, command, edit):
+    data = json.loads((PROBLEMS / name).read_text())
+    edit(data)
+    path = tmp_path / f"edited_{name}"
+    path.write_text(json.dumps(data))
+    return main([command, str(path)])
+
+
+@pytest.mark.parametrize("key", ["maps", "modules"])
+def test_non_list_complex_field_is_input_error(tmp_path, capsys, key):
+    code = run_edited(tmp_path, "total_identity_cone.json", "total",
+                      lambda d: d["complex"].__setitem__(key, 5))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and f"complex.{key} must be a list" in err
+
+
+def _set(path, value):
+    def edit(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+# each bool below would stand for a valid int (True = 1, False = 0) in its file
+@pytest.mark.parametrize("name, path, value, where", [
+    ("heisenberg3.json", ("algebra", "dim"), True, "algebra.dim"),
+    ("fatpoint_rank1.json", ("algebroid", "rank"), True, "algebroid.rank"),
+    ("total_identity_cone.json", ("complex", "modules", 0, "dim"), True,
+     "complex.modules[0].dim"),
+    ("ext_aff1.json", ("extension", "k_indices"), [False], "extension.k_indices"),
+    ("heisenberg3.json", ("module",),
+     {"dim": True, "action": [[[1]]], "rho": [[[0]], [[0]], [[0]]]}, "module.dim"),
+])
+def test_bool_where_int_expected_is_input_error(tmp_path, capsys, name, path, value, where):
+    code = run_edited(tmp_path, name, "validate", _set(path, value))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and where in err
+
+
+def test_cohomology_builds_the_regular_module_once(monkeypatch):
+    import rinehart.algebroid as algebroid_mod
+    modules = count_calls(monkeypatch, algebroid_mod, "regular_module")
+    _, code = run("cohomology", parse(PROBLEMS / "fatpoint_rank2.json"))
+    assert code == 0
+    assert len(modules) == 1

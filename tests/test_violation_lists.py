@@ -7,7 +7,7 @@ of every axiom loop on the k-basis e_a s_i (flat index 3 i + a) directly.
 
 import pytest
 
-from rinehart.algebra import AModule, FiniteAlgebra, regular_module
+from rinehart.algebra import FiniteAlgebra, regular_module
 from rinehart.algebroid import (LieRinehartAlgebroid, Representation, validate_algebroid,
                                 validate_representation)
 from rinehart.fields import GF, QQ
@@ -61,8 +61,7 @@ def test_anchor_morphism_and_jacobi_list(f):
 @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.describe())
 def test_symbol_and_flatness_list(f):
     L = rank2(f)
-    mod = regular_module(L.algebra)
-    R = Representation(AModule(L.algebra, 3, mod.action), [x_ddx(f), x_ddx(f)])
+    R = Representation(regular_module(L.algebra), [x_ddx(f), x_ddx(f)])
     assert described(validate_representation(L, R)) == [
         "symbol at (1, 1)", "symbol at (1, 2)", "flatness at (1, 3)", "flatness at (3, 4)"]
 
