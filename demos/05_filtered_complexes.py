@@ -1,8 +1,9 @@
 """The generic spectral-sequence engine on hand-built filtered complexes.
 
 Independent of any algebroid: a cochain complex with a compatible decreasing
-filtration yields pages, a limit page certified by the filtration-length
-bound, and edge maps forming the five-term sequence.
+filtration yields pages, a limit page read at the filtration-length bound T+1
+and certified by convergence to H^n, and edge maps forming the five-term
+sequence.
 """
 
 from fractions import Fraction

@@ -18,9 +18,8 @@ from .algebroid import (BracketTensor, LieRinehartAlgebroid, Representation,
                         validate_representation)
 from .cecomplex import (CEComplex, RepComplex, ce_cohomology, ce_complex,
                         ce_dims, total_complex)
-from .complexes import (CochainComplex, EdgeMaps, FilteredComplex, SpectralPage,
-                        cohomology_at, edge_maps, spectral_pages,
-                        total_cohomology_dims)
+from .complexes import (CochainComplex, Cohomology, EdgeMaps, FilteredComplex,
+                        SpectralPage, edge_maps, spectral_pages, total_cohomology_dims)
 from .enveloping import (RinehartComplex, TruncatedEnveloping, augmentation,
                          ext_dims, hom_complex_iso, rinehart_complex,
                          truncated_enveloping)
@@ -28,8 +27,8 @@ from .extensions import (AdaptedExtension, ExtensionTriple, adapt,
                          extension_from_k_indices, induced_q_rep,
                          validate_extension, with_splitting)
 from .fields import GF, QQ, Field
-from .hochschild import (FiveTerm, HSFiltration, HSPages, check_e1, check_e2,
-                         five_term, hs_filtration, hs_pages, hs_report)
+from .hochschild import (HSFiltration, HSPages, check_e1, check_e2, five_term,
+                         hs_filtration, hs_pages, hs_report)
 from .linalg import (Matrix, Subspace, image_subspace, kernel_subspace,
                      kernel_vectors, quotient_dim, rank, solve)
 from .problems import ProblemFile, canonical_json, parse, problem_hash, to_dict

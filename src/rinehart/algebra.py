@@ -9,6 +9,7 @@ basis triples; target sizes are tiny (m <= ~8).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import Matrix, Subspace, combination, kernel_subspace
 
@@ -64,6 +65,11 @@ class FiniteAlgebra:
 
     def basis_vector(self, i):
         return tuple(self.field.one if t == i else self.field.zero for t in range(self.dim))
+
+    @cached_property
+    def violations(self) -> tuple:
+        """validate_algebra(self), run once per algebra."""
+        return tuple(validate_algebra(self))
 
 
 def validate_algebra(a: FiniteAlgebra) -> list[Violation]:

@@ -14,12 +14,11 @@ check is the flatness check of that representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
 from functools import cached_property
 from itertools import combinations
 
-from .algebra import (AModule, FiniteAlgebra, Violation, is_derivation, regular_module,
-                      validate_algebra)
+from .algebra import AModule, FiniteAlgebra, Violation, is_derivation, regular_module
 from .linalg import Matrix, Subspace, combination, kernel_subspace
 
 
@@ -53,13 +52,6 @@ class LieRinehartAlgebroid:
     def kindex(self, i, a) -> int:
         """Flat index of the k-basis element e_a s_i."""
         return i * self.m + a
-
-    def acoords_to_k(self, acoords):
-        """k-coordinates of sum_i f_i s_i from the A-coefficient vectors f_i."""
-        out = []
-        for f in acoords:
-            out.extend(f)
-        return tuple(out)
 
     def k_to_acoords(self, v):
         return [tuple(v[i * self.m:(i + 1) * self.m]) for i in range(self.n)]
@@ -142,7 +134,7 @@ def validate_algebroid(L: LieRinehartAlgebroid) -> list[Violation]:
     """Antisymmetry, exhaustive Jacobi and anchor compatibility on the k-closure."""
     out = []
     out.extend(Violation(f"algebra-{v.axiom}", v.indices, v.detail)
-               for v in validate_algebra(L.algebra))
+               for v in L.algebra.violations)
     for i, d in enumerate(L.anchors):
         if not is_derivation(L.algebra, d):
             out.append(Violation("anchor-derivation", (i,)))
@@ -175,6 +167,7 @@ class Representation:
     """An A-module M with an action of L by scalar-symbol operators."""
     module: AModule
     rho: list   # one dim x dim Matrix per basis section of L
+    _failing: dict = dfield(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def basis_actions(self) -> list:
@@ -204,16 +197,23 @@ def anchor_representation(L: LieRinehartAlgebroid) -> Representation:
     return L._anchor_rep
 
 
-def _morphism_violations(L: LieRinehartAlgebroid, R: Representation, axiom) -> list[Violation]:
-    """R([b_u, b_v]) = [R(b_u), R(b_v)] on every k-basis pair u < v."""
+def _failing_pairs(L: LieRinehartAlgebroid, R: Representation) -> list:
+    """The k-basis pairs u < v with R([b_u, b_v]) != [R(b_u), R(b_v)]."""
     t = build_bracket_tensor(L)
     hats = R.basis_actions
     out = []
     for u, v in combinations(range(L.kdim), 2):
         comm = hats[u].mul(hats[v]).sub(hats[v].mul(hats[u]))
         if R.rho_of_vector(L, t.of_basis(u, v)) != comm:
-            out.append(Violation(axiom, (u, v)))
+            out.append((u, v))
     return out
+
+
+def _morphism_violations(L: LieRinehartAlgebroid, R: Representation, axiom) -> list[Violation]:
+    """The morphism check of R over L, run once per (L, R) and kept on R."""
+    if L not in R._failing:
+        R._failing[L] = _failing_pairs(L, R)
+    return [Violation(axiom, pair) for pair in R._failing[L]]
 
 
 def validate_representation(L: LieRinehartAlgebroid, R: Representation) -> list[Violation]:

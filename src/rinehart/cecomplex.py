@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 
 from .algebroid import LieRinehartAlgebroid, Representation
-from .complexes import CochainComplex, cohomology_at
+from .complexes import CochainComplex
 from .errors import ConstructionInconsistent, NotEquivariant
 from .linalg import Matrix, add_block
 
@@ -81,12 +81,8 @@ def ce_complex(L: LieRinehartAlgebroid, R: Representation) -> CEComplex:
 
 def ce_cohomology(L: LieRinehartAlgebroid, R: Representation):
     """[(degree, dim, representatives)] over the whole degree range."""
-    ce = ce_complex(L, R)
-    out = []
-    for p in range(L.n + 1):
-        dim, reps = cohomology_at(ce.complex, p)
-        out.append((p, dim, reps))
-    return out
+    cx = ce_complex(L, R).complex
+    return [(p, cx.cohomology(p).dim, cx.cohomology(p).reps) for p in range(L.n + 1)]
 
 
 def ce_dims(L: LieRinehartAlgebroid, R: Representation) -> list[int]:

@@ -12,13 +12,11 @@ import json
 import sys
 
 from . import __version__
-from .algebra import validate_algebra
 from .algebroid import invariants, validate_algebroid, validate_representation
 from .cecomplex import ce_cohomology, total_complex
 from .complexes import total_cohomology_dims
 from .enveloping import ext_dims, hom_complex_iso, rinehart_complex
 from .errors import EngineError, ParseError
-from .extensions import extension_from_k_indices, validate_extension
 from .hochschild import hs_report
 from .problems import ProblemFile, check_options, parse, problem_hash
 
@@ -31,18 +29,15 @@ def _violation_strings(vs):
 
 def _validate_all(problem: ProblemFile):
     out = {}
-    out["algebra"] = _violation_strings(validate_algebra(problem.algebra))
+    out["algebra"] = _violation_strings(problem.algebra.violations)
     out["algebroid"] = _violation_strings(validate_algebroid(problem.algebroid))
     rep = problem.representation()
     out["representation"] = _violation_strings(
         validate_representation(problem.algebroid, rep))
     if problem.complex is not None:
         out["complex"] = _violation_strings(problem.complex.validate(problem.algebroid))
-    if problem.extension is not None:
-        E = extension_from_k_indices(problem.algebroid,
-                                     problem.extension["k_indices"],
-                                     problem.extension.get("splitting"))
-        out["extension"] = _violation_strings(validate_extension(E))
+    if problem.extension_triple is not None:
+        out["extension"] = _violation_strings(problem.extension_triple.violations)
     return out
 
 
@@ -93,13 +88,10 @@ def run(command: str, problem: ProblemFile, options: dict | None = None) -> tupl
                 "basis": [_fmt_vec(field, v) for v in inv.basis],
             }
         elif command == "hs":
-            if problem.extension is None:
+            if problem.extension_triple is None:
                 raise ParseError("command 'hs' needs an extension block")
-            E = extension_from_k_indices(problem.algebroid,
-                                         problem.extension["k_indices"],
-                                         problem.extension.get("splitting"))
             r_max = options.get("max_page", problem.options.get("max_page"))
-            hp, e1, e2, ft = hs_report(E, rep, r_max)
+            hp, e1, e2, ft = hs_report(problem.extension_triple, rep, r_max)
             report["results"] = {
                 "pages": {str(page.r): _pq_table(page.dims()) for page in hp.pages},
                 "e_infinity": _pq_table(hp.einf.dims()),

@@ -7,17 +7,39 @@ Pages are computed from the subquotient formula
 
 in total degree p+q, with filtration indices clamped (F^p is the whole space
 for p < 0 and zero beyond the declared chain).  For a filtration of length T
-every differential d_r with r > T vanishes, so the page at r = T+1 equals the
-limit page; that bound is what certifies stabilization.
+every differential d_r with r > T vanishes, and under the clamping the page at
+r = T+1 has Z_r = F^p n ker d and B_r = im d n F^p: it is the limit page, read
+where the bound fixes it and certified by convergence to H^n of the complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 
 from .errors import ConstructionInconsistent, DegreeOutOfRange, EngineError, IncompatibleFiltration
 from .linalg import (Matrix, Subspace, class_coordinates, complete_basis,
                      image_subspace, kernel_subspace, kernel_vectors, rank)
+
+
+@dataclass
+class Cohomology:
+    """H^i = Z / B in one degree: the kernel vectors of d_i (a basis of the
+    cocycles Z), the coboundaries B = im d_{i-1}, and the representatives, the
+    kernel vectors that extend a basis of B to one of Z."""
+    kernel: list
+    coboundaries: Subspace
+    reps: list
+
+    @property
+    def dim(self) -> int:
+        return len(self.reps)
+
+    @cached_property
+    def cocycles(self) -> Subspace:
+        """Z as a subspace, eliminated only when membership is asked for."""
+        B = self.coboundaries
+        return Subspace(B.field, B.ambient_dim, self.kernel)
 
 
 class CochainComplex:
@@ -37,6 +59,7 @@ class CochainComplex:
             for i in range(len(self.diffs) - 1):
                 if not self.diffs[i + 1].mul(self.diffs[i]).is_zero():
                     raise ConstructionInconsistent(f"d_{i + 1} d_{i} != 0")
+        self._cohomology = {}
 
     @property
     def top_degree(self):
@@ -53,26 +76,33 @@ class CochainComplex:
             return self.diffs[i]
         return Matrix.zero(self.field, self.space_dim(i + 1), self.space_dim(i))
 
+    def cohomology(self, i) -> Cohomology:
+        """H^i, computed once per degree."""
+        if i not in self._cohomology:
+            self._cohomology[i] = cohomology_at(self, i)
+        return self._cohomology[i]
 
-def cohomology_at(c: CochainComplex, i: int):
-    """(dim H^i, representatives): kernel vectors completing an image basis."""
+
+def cohomology_at(c: CochainComplex, i: int) -> Cohomology:
+    """H^i computed afresh; read it through c.cohomology(i), which keeps it."""
     if not (0 <= i <= c.top_degree):
         raise DegreeOutOfRange(f"degree {i} outside 0..{c.top_degree}")
     ker = kernel_vectors(c.diff(i))
     im = image_subspace(c.diff(i - 1)) if i > 0 else Subspace.zero(c.field, c.dims[i])
-    reps = complete_basis(im, ker)
-    return len(ker) - im.dim, reps
+    return Cohomology(ker, im, complete_basis(im, ker))
 
 
 def total_cohomology_dims(c: CochainComplex):
-    return [cohomology_at(c, i)[0] for i in range(c.top_degree + 1)]
+    return [c.cohomology(i).dim for i in range(c.top_degree + 1)]
 
 
 class FilteredComplex:
     """A cochain complex with a decreasing filtration compatible with d.
 
     `filtration[i]` is the chain [F^0, F^1, ...] at degree i; F^0 must be the
-    whole space and d(F^p) must land in F^p one degree up.
+    whole space and d(F^p) must land in F^p one degree up.  The images d(F^p)
+    built for that check and the preimages d^{-1}(F^p) are kept per degree and
+    clamped level 0..T+1, where T is the longest chain's last index.
     """
 
     def __init__(self, complex: CochainComplex, filtration):
@@ -87,10 +117,12 @@ class FilteredComplex:
                 if not chain[p].contains_space(chain[p + 1]):
                     raise IncompatibleFiltration(f"chain not decreasing at degree {i}, index {p}")
         self.top_index = max(len(chain) - 1 for chain in self.filtration)
+        self._images = {}
+        self._preimages = {}
         for i in range(complex.top_degree + 1):
             d = complex.diff(i)
-            for p in range(self.top_index + 1):
-                img = self.space(i, p).image(d)
+            for p in range(self.top_index + 2):
+                img = self._images[(i, p)] = self.space(i, p).image(d)
                 if not self.space(i + 1, p).contains_space(img):
                     raise IncompatibleFiltration(
                         f"d(F^{p}) not inside F^{p} from degree {i}")
@@ -107,6 +139,20 @@ class FilteredComplex:
             return chain[p]
         return Subspace.zero(self.complex.field, dim_i)
 
+    def _level(self, p) -> int:
+        return min(max(p, 0), self.top_index + 1)
+
+    def image(self, i, p) -> Subspace:
+        """d_i(F^p) in degree i+1."""
+        return self._images[(i, self._level(p))]
+
+    def preimage(self, i, p) -> Subspace:
+        """d_i^{-1}(F^p), the preimage in degree i of F^p one degree up."""
+        key = (i, self._level(p))
+        if key not in self._preimages:
+            self._preimages[key] = self.space(i + 1, p).preimage(self.complex.diff(i))
+        return self._preimages[key]
+
 
 @dataclass
 class PageEntry:
@@ -117,7 +163,7 @@ class PageEntry:
 
 @dataclass
 class SpectralPage:
-    r: object            # page number, or None for the limit page
+    r: int               # page number
     field: object
     entries: dict        # (p, q) -> PageEntry
     diffs: dict = dfield(default_factory=dict)   # (p, q) -> Matrix on representatives
@@ -149,23 +195,17 @@ class PagesReport:
         return all(a == b for a, b in self.convergence.values())
 
 
-def _page(fc: FilteredComplex, r):
-    """One page of the spectral sequence; r = None gives the limit page."""
+def _page(fc: FilteredComplex, r: int):
+    """The page E_r of the spectral sequence."""
     cx = fc.complex
     entries = {}
     for s in range(cx.top_degree + 1):
-        d_out = cx.diff(s)
-        d_in = cx.diff(s - 1)
         for p in range(fc.top_index + 1):
             q = s - p
             Fp = fc.space(s, p)
-            if r is None:
-                zr = Fp.intersect(kernel_subspace(d_out))
-                b = image_subspace(d_in).intersect(Fp) if s > 0 else Subspace.zero(cx.field, cx.dims[s])
-            else:
-                zr = Fp.intersect(fc.space(s + 1, p + r).preimage(d_out))
-                b = fc.space(s - 1, p - r + 1).image(d_in).intersect(Fp) if s > 0 \
-                    else Subspace.zero(cx.field, cx.dims[s])
+            zr = Fp.intersect(fc.preimage(s, p + r))
+            b = fc.image(s - 1, p - r + 1).intersect(Fp) if s > 0 \
+                else Subspace.zero(cx.field, cx.dims[s])
             den = fc.space(s, p + 1).add(b)
             zd = zr.intersect(den)
             reps = complete_basis(zd, zr.basis)
@@ -197,9 +237,9 @@ def _page_differentials(fc: FilteredComplex, page: SpectralPage, r: int):
 def spectral_pages(fc: FilteredComplex, r_max: int = 1):
     """Pages E_1..E_{r_max}, the limit page, and a convergence report.
 
-    The limit page is computed from the r -> infinity subquotients and checked
-    against the page at the structural bound T+1, past which no differential
-    can be nonzero.
+    The limit page is the page at the filtration-length bound T+1, past which
+    no differential can be nonzero; its antidiagonal totals must equal the
+    dims of H^n of the unfiltered complex.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -209,9 +249,7 @@ def spectral_pages(fc: FilteredComplex, r_max: int = 1):
     pages = [_page(fc, r) for r in range(1, upto + 1)]
     for r, page in enumerate(pages, start=1):
         _page_differentials(fc, page, r)
-    einf = _page(fc, None)
-    if pages[bound - 1].dims() != einf.dims():
-        raise EngineError("page at the stabilization bound disagrees with the limit page")
+    einf = pages[bound - 1]
     # d_r o d_r = 0 and the subquotient identity for the next page
     for r, page in enumerate(pages, start=1):
         for (p, q), m in page.diffs.items():
@@ -220,11 +258,10 @@ def spectral_pages(fc: FilteredComplex, r_max: int = 1):
                 if not nxt.mul(m).is_zero():
                     raise EngineError(f"d_{r} o d_{r} != 0 at {(p, q)}")
         if r < upto:
+            ranks = {pq: rank(m) for pq, m in page.diffs.items()}
             for (p, q), e in page.entries.items():
-                out_rank = rank(page.diffs[(p, q)])
-                inc = page.diffs.get((p - r, q + r - 1))
-                in_rank = rank(inc) if inc is not None else 0
-                if pages[r].dim(p, q) != e.dim - out_rank - in_rank:
+                in_rank = ranks.get((p - r, q + r - 1), 0)
+                if pages[r].dim(p, q) != e.dim - ranks[(p, q)] - in_rank:
                     raise EngineError(f"subquotient identity fails at page {r}, {(p, q)}")
     stable_at = bound
     for r in range(bound - 1, 0, -1):
@@ -235,7 +272,7 @@ def spectral_pages(fc: FilteredComplex, r_max: int = 1):
     convergence = {}
     for n in range(cx.top_degree + 1):
         total = sum(einf.dim(p, n - p) for p in range(fc.top_index + 1))
-        convergence[n] = (total, cohomology_at(cx, n)[0])
+        convergence[n] = (total, cx.cohomology(n).dim)
     report = PagesReport(stable_at, bound, convergence)
     if not report.converged:
         raise EngineError(f"limit page does not converge to total cohomology: {convergence}")
@@ -257,8 +294,8 @@ class EdgeMaps:
         return all(self.exact)
 
 
-def _class_coordinates(field, reps, im: Subspace, vector):
-    x = class_coordinates(field, reps, im, vector)
+def _class_coordinates(field, h: Cohomology, vector):
+    x = class_coordinates(field, h.reps, h.coboundaries, vector)
     if x is None:
         raise EngineError("vector is not a cocycle of the expected class group")
     return x
@@ -273,10 +310,8 @@ def edge_maps(fc: FilteredComplex, e2: SpectralPage) -> EdgeMaps:
     so that low-degree page representatives are honest cocycles.
     """
     cx = fc.complex
-    h1_dim, h1_reps = cohomology_at(cx, 1) if cx.top_degree >= 1 else (0, [])
-    h2_dim, h2_reps = cohomology_at(cx, 2) if cx.top_degree >= 2 else (0, [])
-    im0 = image_subspace(cx.diff(0)) if cx.top_degree >= 1 else Subspace.zero(cx.field, 0)
-    im1 = image_subspace(cx.diff(1)) if cx.top_degree >= 2 else Subspace.zero(cx.field, 0)
+    h1, h2 = (cx.cohomology(i) if i <= cx.top_degree
+              else Cohomology([], Subspace.zero(cx.field, 0), []) for i in (1, 2))
 
     def entry(p, q):
         return e2.entries.get((p, q), PageEntry(0, [], Subspace.zero(cx.field, cx.space_dim(p + q))))
@@ -291,16 +326,16 @@ def edge_maps(fc: FilteredComplex, e2: SpectralPage) -> EdgeMaps:
         if any(d2m.apply(w)):
             raise EngineError("E2^{2,0} representative is not a cocycle; filtration is not first-quadrant")
 
-    inf1_cols = [_class_coordinates(cx.field, h1_reps, im0, z) for z in e10.reps]
+    inf1_cols = [_class_coordinates(cx.field, h1, z) for z in e10.reps]
     inflation1 = Matrix.from_rows(cx.field, inf1_cols).transpose() if inf1_cols \
-        else Matrix.zero(cx.field, h1_dim, 0)
-    res_cols = [e2.coordinates(0, 1, z) for z in h1_reps]
+        else Matrix.zero(cx.field, h1.dim, 0)
+    res_cols = [e2.coordinates(0, 1, z) for z in h1.reps]
     restriction = Matrix.from_rows(cx.field, res_cols).transpose() if res_cols \
         else Matrix.zero(cx.field, e01.dim, 0)
     transgression = e2.diffs.get((0, 1), Matrix.zero(cx.field, e20.dim, e01.dim))
-    inf2_cols = [_class_coordinates(cx.field, h2_reps, im1, w) for w in e20.reps]
+    inf2_cols = [_class_coordinates(cx.field, h2, w) for w in e20.reps]
     inflation2 = Matrix.from_rows(cx.field, inf2_cols).transpose() if inf2_cols \
-        else Matrix.zero(cx.field, h2_dim, 0)
+        else Matrix.zero(cx.field, h2.dim, 0)
 
     for later, earlier, where in ((restriction, inflation1, "restriction o inflation"),
                                   (transgression, restriction, "transgression o restriction"),
@@ -309,17 +344,11 @@ def edge_maps(fc: FilteredComplex, e2: SpectralPage) -> EdgeMaps:
             if not later.mul(earlier).is_zero():
                 raise EngineError(f"five-term composition {where} is nonzero")
 
-    def img(m):
-        return image_subspace(m)
-
-    def ker(m):
-        return kernel_subspace(m)
-
     exact = (
-        ker(inflation1).dim == 0,
-        img(inflation1).equals(ker(restriction)),
-        img(restriction).equals(ker(transgression)),
-        img(transgression).equals(ker(inflation2)),
+        kernel_subspace(inflation1).dim == 0,
+        image_subspace(inflation1).equals(kernel_subspace(restriction)),
+        image_subspace(restriction).equals(kernel_subspace(transgression)),
+        image_subspace(transgression).equals(kernel_subspace(inflation2)),
     )
-    node_dims = (e10.dim, h1_dim, e01.dim, e20.dim, h2_dim)
+    node_dims = (e10.dim, h1.dim, e01.dim, e20.dim, h2.dim)
     return EdgeMaps(inflation1, restriction, transgression, inflation2, node_dims, exact)

@@ -12,14 +12,16 @@ splitting and flat even though neither holds at the cochain level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import AModule, Violation
 from .algebroid import (LieRinehartAlgebroid, Representation, anchor_representation,
                         build_bracket_tensor, validate_algebroid, validate_representation)
 from .cecomplex import CEComplex, ce_complex, koszul_terms
+from .complexes import Cohomology
 from .errors import EngineError, NotWellDefined
-from .linalg import (Matrix, Subspace, add_block, class_coordinates, complete_basis,
-                     image_subspace, kernel_subspace, rank, rref)
+from .linalg import (Matrix, add_block, class_coordinates, image_subspace, kernel_subspace,
+                     rank, rref)
 
 
 def amap_matrix(L_src: LieRinehartAlgebroid, L_dst: LieRinehartAlgebroid, acoords) -> Matrix:
@@ -48,6 +50,11 @@ class ExtensionTriple:
     iota: list    # iota[j][l] in k^m: A-coords in L of the j-th K-basis element
     pi: list      # pi[j][l]: A-coords in Q of the image of the j-th L-basis element
     sigma: list   # sigma[j][l]: A-coords in L of the section of the j-th Q-basis element
+
+    @cached_property
+    def violations(self) -> tuple:
+        """validate_extension(self), run once per extension."""
+        return tuple(validate_extension(self))
 
 
 def extension_from_k_indices(L: LieRinehartAlgebroid, k_indices, sigma_acoords=None) -> ExtensionTriple:
@@ -165,7 +172,7 @@ class AdaptedExtension:
 
 
 def adapt(E: ExtensionTriple, R: Representation) -> AdaptedExtension:
-    bad = validate_extension(E)
+    bad = E.violations
     if bad:
         raise EngineError("invalid extension: " + "; ".join(v.describe() for v in bad))
     L = E.L
@@ -223,38 +230,26 @@ def adapt(E: ExtensionTriple, R: Representation) -> AdaptedExtension:
     return AdaptedExtension(E, R, L_ad, R_ad, K_sub, rho_K, Q_quot, c, r)
 
 
-def _descend_operator(op: Matrix, reps, cocycles: Subspace, boundaries: Subspace, field):
-    """Matrix of an operator on chosen cohomology representatives.
+def _descend_operator(op: Matrix, h: Cohomology, field):
+    """Matrix of an operator on the representatives of the cohomology h.
 
     Requires op(Z) inside Z and op(B) inside B; raises NotWellDefined otherwise.
     """
-    for z in cocycles.basis:
-        if not cocycles.contains(op.apply(z)):
+    for z in h.cocycles.basis:
+        if not h.cocycles.contains(op.apply(z)):
             raise NotWellDefined("operator does not preserve cocycles")
-    for b in boundaries.basis:
-        if not boundaries.contains(op.apply(b)):
+    for b in h.coboundaries.basis:
+        if not h.coboundaries.contains(op.apply(b)):
             raise NotWellDefined("operator does not preserve coboundaries")
-    if not reps:
+    if not h.reps:
         return Matrix.zero(field, 0, 0)
     out_cols = []
-    for z in reps:
-        x = class_coordinates(field, reps, boundaries, op.apply(z))
+    for z in h.reps:
+        x = class_coordinates(field, h.reps, h.coboundaries, op.apply(z))
         if x is None:
             raise NotWellDefined("operator image leaves the cocycle space")
         out_cols.append(x)
     return Matrix.from_rows(field, out_cols).transpose()
-
-
-def k_cohomology_data(ceK: CEComplex, q: int):
-    """(cocycles, coboundaries, representatives) of the K-complex ceK in degree q."""
-    cx = ceK.complex
-    f = cx.field
-    if not (0 <= q <= cx.top_degree):
-        empty = Subspace.zero(f, 0)
-        return empty, empty, []
-    Z = kernel_subspace(cx.diff(q))
-    B = image_subspace(cx.diff(q - 1)) if q > 0 else Subspace.zero(f, cx.dims[q])
-    return Z, B, complete_basis(B, Z.basis)
 
 
 def _module_action_on_cochains(ad: AdaptedExtension, ceK, q: int, b: int) -> Matrix:
@@ -307,8 +302,7 @@ def induced_q_rep_adapted(ad: AdaptedExtension, ceK: CEComplex, q: int) -> Repre
     if not (0 <= q <= ad.c):
         modH = AModule(alg, 0, [Matrix.zero(f, 0, 0)] * alg.dim)
         return Representation(modH, [Matrix.zero(f, 0, 0)] * ad.r)
-    Z, B, reps = k_cohomology_data(ceK, q)
-    h = len(reps)
+    h = ceK.complex.cohomology(q)
     act_mats = []
     for b in range(alg.dim):
         op = _module_action_on_cochains(ad, ceK, q, b)
@@ -318,8 +312,8 @@ def induced_q_rep_adapted(ad: AdaptedExtension, ceK: CEComplex, q: int) -> Repre
             dq = ceK.complex.diff(q)
             if not dq.mul(op).sub(op_next.mul(dq)).is_zero():
                 raise NotWellDefined("algebra action does not commute with the K-differential")
-        act_mats.append(_descend_operator(op, reps, Z, B, f))
-    modH = AModule(alg, h, act_mats)
+        act_mats.append(_descend_operator(op, h, f))
+    modH = AModule(alg, h.dim, act_mats)
     bad = modH.validate()
     if bad:
         raise NotWellDefined("induced A-module structure is invalid: "
@@ -327,7 +321,7 @@ def induced_q_rep_adapted(ad: AdaptedExtension, ceK: CEComplex, q: int) -> Repre
     rho_mats = []
     for j in range(ad.r):
         theta = _lie_operator_on_k_cochains(ad, ceK, q, ad.c + j)
-        rho_mats.append(_descend_operator(theta, reps, Z, B, f))
+        rho_mats.append(_descend_operator(theta, h, f))
     induced = Representation(modH, rho_mats)
     bad = validate_representation(ad.Q_quot, induced)
     if bad:

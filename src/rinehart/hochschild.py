@@ -16,11 +16,10 @@ from .algebra import AModule
 from .algebroid import Representation
 from .cecomplex import ce_complex, ce_dims
 from .complexes import (EdgeMaps, FilteredComplex, SpectralPage, edge_maps,
-                        spectral_pages)
+                        spectral_pages, total_cohomology_dims)
 from .errors import (DimMismatch, ExactnessFailure, FiltrationNotPreserved,
                      IncompatibleFiltration)
-from .extensions import (AdaptedExtension, ExtensionTriple, adapt,
-                         induced_q_rep_adapted, k_cohomology_data)
+from .extensions import AdaptedExtension, ExtensionTriple, adapt, induced_q_rep_adapted
 from .linalg import Matrix, Subspace, add_block
 
 
@@ -180,26 +179,14 @@ def check_e2(hp: HSPages) -> PageCertificate:
     return PageCertificate(table)
 
 
-@dataclass
-class FiveTerm:
-    maps: EdgeMaps
-    node_dims: tuple
-    exact: tuple
-
-    @property
-    def all_exact(self):
-        return all(self.exact)
-
-
-def five_term(hp: HSPages) -> FiveTerm:
+def five_term(hp: HSPages) -> EdgeMaps:
     """Materialize 0 -> E2^{1,0} -> H^1 -> E2^{0,1} -> E2^{2,0} -> H^2 and
     verify exactness at each interior node."""
     em = edge_maps(hp.filtration.filtered, hp.e2)
-    ft = FiveTerm(em, em.node_dims, em.exact)
-    if not ft.all_exact:
+    if not em.all_exact:
         bad = [i for i, ok in enumerate(em.exact) if not ok]
         raise ExactnessFailure(f"five-term sequence fails at node(s) {bad}", witness=bad)
-    return ft
+    return em
 
 
 def hs_report(E: ExtensionTriple, R: Representation, r_max: int | None = None):
@@ -211,5 +198,4 @@ def hs_report(E: ExtensionTriple, R: Representation, r_max: int | None = None):
 def k_cohomology_dims(E: ExtensionTriple, R: Representation) -> list[int]:
     """dims of H^q(K; M), radiating the data check_e2 builds on."""
     ad = adapt(E, R)
-    ceK = ce_complex(ad.K_sub, ad.rho_K)
-    return [len(k_cohomology_data(ceK, q)[2]) for q in range(ad.c + 1)]
+    return total_cohomology_dims(ce_complex(ad.K_sub, ad.rho_K).complex)

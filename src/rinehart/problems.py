@@ -19,11 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 
 from .algebra import AModule, FiniteAlgebra
 from .algebroid import LieRinehartAlgebroid, Representation, anchor_representation
 from .cecomplex import RepComplex
 from .errors import ParseError, ShapeError
+from .extensions import ExtensionTriple, extension_from_k_indices
 from .fields import GF, QQ, Field
 from .linalg import Matrix
 
@@ -75,6 +77,14 @@ class ProblemFile:
 
     def representation(self) -> Representation:
         return self.module if self.module is not None else anchor_representation(self.algebroid)
+
+    @cached_property
+    def extension_triple(self) -> ExtensionTriple | None:
+        """The extension block as extension data, built once per problem."""
+        if self.extension is None:
+            return None
+        return extension_from_k_indices(self.algebroid, self.extension["k_indices"],
+                                        self.extension.get("splitting"))
 
 
 def _parse_field(data) -> Field:

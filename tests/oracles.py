@@ -4,7 +4,10 @@ Deliberately written against different machinery than the engine: the CE
 differential is assembled entry-by-entry from the defining formula with an
 explicit permutation-sign evaluator, and ranks come from sympy over Q or a
 local RREF over F_p.  Only the Lie-algebra case (A = k) is covered; that is
-what the classical expected values are frozen from.
+what the classical expected values are frozen from.  `limit_page_dims` is the
+one exception: it evaluates the E_infinity formula with the engine's subspace
+calculus, straight from the cocycles and coboundaries of the complex, without
+going through any page.
 """
 
 from fractions import Fraction
@@ -115,3 +118,20 @@ def rank_mod_p(rows, p):
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         r += 1
     return r
+
+
+def limit_page_dims(fc):
+    """dim (F^p n Z + F^{p+1}) / (F^{p+1} + B n F^p) at each (p, q) with a
+    nonzero value, where Z and B are the cocycles and coboundaries of the
+    filtered complex fc in total degree p + q."""
+    cx = fc.complex
+    out = {}
+    for s in range(cx.top_degree + 1):
+        h = cx.cohomology(s)
+        for p in range(fc.top_index + 1):
+            Fp, Fp1 = fc.space(s, p), fc.space(s, p + 1)
+            num = Fp.intersect(h.cocycles).add(Fp1)
+            den = Fp1.add(h.coboundaries.intersect(Fp))
+            if num.dim != den.dim:
+                out[(p, s - p)] = num.dim - den.dim
+    return out

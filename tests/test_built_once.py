@@ -1,0 +1,91 @@
+"""Each artifact of a request is built once: the kernel and image behind each
+cohomology group, the Lie-morphism check of a representation, and the
+validation of the algebra and of the extension."""
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+from rinehart import algebroid, cli, complexes, extensions
+from rinehart.problems import parse
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+def patch_everywhere(monkeypatch, owner, name, make):
+    """Replace every module-level binding of owner.name in the package."""
+    fn = getattr(owner, name)
+    wrapped = make(fn)
+    for modname, mod in list(sys.modules.items()):
+        if modname == "rinehart" or modname.startswith("rinehart."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapped)
+
+
+def recording(calls):
+    """A wrapper factory that appends each call's first argument to calls."""
+    def make(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+    return make
+
+
+def test_one_kernel_and_one_image_per_complex_and_degree_in_hs(monkeypatch):
+    from rinehart import linalg
+    built, kernels, images = [], [], []
+    init = complexes.CochainComplex.__init__
+
+    def record_complex(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(complexes.CochainComplex, "__init__", record_complex)
+    patch_everywhere(monkeypatch, linalg, "kernel_vectors", recording(kernels))
+    patch_everywhere(monkeypatch, linalg, "image_subspace", recording(images))
+    report, code = cli.run("hs", parse(PROBLEMS / "ext_heis_center.json"))
+    assert code == 0, report
+    assert len(built) > 4
+    for c in built:
+        for i, d in enumerate(c.diffs):
+            # the arguments stay referenced, so identity cannot be reused
+            assert sum(m is d for m in kernels) == 1, (c.dims, i)
+            assert sum(m is d for m in images) == 1, (c.dims, i)
+
+
+def test_one_lie_morphism_loop_per_algebroid_and_representation(monkeypatch):
+    loops = Counter()
+    seen = []
+    failing_pairs = algebroid._failing_pairs
+
+    def counted(L, R):
+        seen.append((L, R))
+        loops[(id(L), id(R))] += 1
+        return failing_pairs(L, R)
+
+    monkeypatch.setattr(algebroid, "_failing_pairs", counted)
+    problem = parse(PROBLEMS / "fatpoint_rank2.json")
+    assert problem.module is None
+    report, code = cli.run("cohomology", problem)
+    assert code == 0, report
+    assert report["validation"]["algebroid"] == report["validation"]["representation"] == []
+    assert sorted(loops.values()) == [1]
+
+
+def test_each_validator_runs_once_per_request(monkeypatch):
+    from rinehart import algebra
+    runs = {"algebra": [], "extension": [], "extension data": []}
+    patch_everywhere(monkeypatch, algebra, "validate_algebra", recording(runs["algebra"]))
+    patch_everywhere(monkeypatch, extensions, "validate_extension",
+                     recording(runs["extension"]))
+    patch_everywhere(monkeypatch, extensions, "extension_from_k_indices",
+                     recording(runs["extension data"]))
+    for command in ("validate", "cohomology", "invariants", "hs", "env"):
+        for calls in runs.values():
+            calls.clear()
+        report, code = cli.run(command, parse(PROBLEMS / "ext_heis_center.json"))
+        assert code == 0, report
+        assert {k: len(v) for k, v in runs.items()} == \
+            {"algebra": 1, "extension": 1, "extension data": 1}, command

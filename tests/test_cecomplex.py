@@ -83,8 +83,8 @@ def test_fatpoint_rank1_complex_shape():
 def test_degree_zero_cohomology_equals_invariants():
     for e in catalog.positive_entries():
         ce = ce_complex(e.algebroid, e.representation)
-        from rinehart.complexes import cohomology_at
-        dim, reps = cohomology_at(ce.complex, 0)
+        h = ce.complex.cohomology(0)
+        dim, reps = h.dim, h.reps
         inv = invariants(e.algebroid, e.representation)
         assert dim == inv.dim, e.name
         if dim:

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from rinehart.complexes import (CochainComplex, FilteredComplex, cohomology_at,
-                                edge_maps, spectral_pages, total_cohomology_dims)
+from rinehart.complexes import (CochainComplex, FilteredComplex, edge_maps, spectral_pages,
+                                total_cohomology_dims)
 from rinehart.errors import (ConstructionInconsistent, DegreeOutOfRange,
                              EngineError, IncompatibleFiltration)
 from rinehart.fields import QQ
 from rinehart.linalg import Matrix, Subspace
+
+from oracles import limit_page_dims
 
 
 def qmat(rows):
@@ -28,7 +30,8 @@ def abelian2_ce():
 
 
 def test_cohomology_single_space():
-    assert cohomology_at(single_space(), 0) == (1, [(Fraction(1),)])
+    h = single_space().cohomology(0)
+    assert (h.dim, h.reps) == (1, [(Fraction(1),)])
 
 
 def test_cohomology_exact_two_term():
@@ -42,7 +45,7 @@ def test_cohomology_abelian_binomials():
 
 def test_degree_out_of_range():
     with pytest.raises(DegreeOutOfRange):
-        cohomology_at(single_space(), 1)
+        single_space().cohomology(1)
 
 
 def test_dd_nonzero_rejected():
@@ -158,3 +161,44 @@ def test_page_representative_count_mismatch_raises(monkeypatch):
     monkeypatch.setattr(complexes_mod, "complete_basis", lambda base, candidates: [])
     with pytest.raises(EngineError):
         spectral_pages(aff1_hs_filtration(), 2)
+
+
+def two_step_exact():
+    filt = [
+        [Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
+        [Subspace.full(QQ, 1), Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
+    ]
+    return FilteredComplex(two_term_identity(), filt)
+
+
+def permuted_aff1_filtration():
+    one, zero = Fraction(1), Fraction(0)
+    filt = [
+        [Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
+        [Subspace(QQ, 2, [(zero, one), (one, zero)]), Subspace(QQ, 2, [(zero, one)]),
+         Subspace.zero(QQ, 2)],
+        [Subspace.full(QQ, 1), Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
+    ]
+    return FilteredComplex(aff1_ce(), filt)
+
+
+def hand_built_filtrations():
+    return [trivial_filtration(abelian2_ce()), trivial_filtration(aff1_ce()),
+            trivial_filtration(single_space()), two_step_exact(), aff1_hs_filtration(),
+            permuted_aff1_filtration()]
+
+
+def test_limit_page_is_the_e_infinity_subquotient():
+    for fc in hand_built_filtrations():
+        _, einf, _ = spectral_pages(fc, 1)
+        assert einf.dims() == limit_page_dims(fc)
+
+
+def test_filtered_images_and_preimages_at_clamped_levels():
+    for fc in hand_built_filtrations():
+        cx = fc.complex
+        for i in range(cx.top_degree + 1):
+            d = cx.diff(i)
+            for p in range(-2, fc.top_index + 4):
+                assert fc.image(i, p).equals(fc.space(i, p).image(d)), (i, p)
+                assert fc.preimage(i, p).equals(fc.space(i + 1, p).preimage(d)), (i, p)

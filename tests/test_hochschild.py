@@ -4,6 +4,8 @@ from rinehart.extensions import extension_from_k_indices
 from rinehart.hochschild import (check_e1, check_e2, five_term, hs_filtration,
                                  hs_pages, hs_report, k_cohomology_dims)
 
+from oracles import limit_page_dims
+
 
 def make(name):
     for ext_name, entry, k_indices, sigma in catalog.extension_entries():
@@ -132,7 +134,7 @@ def test_five_term_heisenberg_dims():
     ft = five_term(hs_pages(E, entry.representation))
     assert ft.node_dims == (2, 2, 1, 1, 2)
     from rinehart.linalg import rank
-    assert rank(ft.maps.transgression) == 1
+    assert rank(ft.transgression) == 1
 
 
 def test_hs_report_bundle():
@@ -152,3 +154,22 @@ def test_full_spectral_machinery_over_f2():
     assert hp.converged
     assert five_term(hp).all_exact
     assert hp.convergence == {0: (1, 1), 1: (2, 2), 2: (2, 2), 3: (1, 1)}
+
+
+def test_limit_page_is_the_e_infinity_subquotient_whole_corpus():
+    for name, entry, k_indices, sigma in catalog.extension_entries():
+        E = extension_from_k_indices(entry.algebroid, k_indices, sigma)
+        hp = hs_pages(E, entry.representation, r_max=1)
+        assert hp.einf.dims() == limit_page_dims(hp.filtration.filtered), name
+
+
+def test_filtered_images_and_preimages_at_clamped_levels_whole_corpus():
+    for name, entry, k_indices, sigma in catalog.extension_entries():
+        E = extension_from_k_indices(entry.algebroid, k_indices, sigma)
+        fc = hs_filtration(E, entry.representation).filtered
+        cx = fc.complex
+        for i in range(cx.top_degree + 1):
+            d = cx.diff(i)
+            for p in (-1, 0, fc.top_index, fc.top_index + 1, fc.top_index + 3):
+                assert fc.image(i, p).equals(fc.space(i, p).image(d)), (name, i, p)
+                assert fc.preimage(i, p).equals(fc.space(i + 1, p).preimage(d)), (name, i, p)
