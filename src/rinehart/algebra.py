@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
-from .linalg import Matrix, Subspace, combination, kernel_subspace
+from .linalg import Matrix, Subspace, add_entry, combination, kernel_subspace
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class FiniteAlgebra:
         for j in range(self.dim):
             e_j = tuple(self.field.one if t == j else self.field.zero for t in range(self.dim))
             cols.append(self.mul_vec(x, e_j))
-        return Matrix.from_rows(self.field, cols).transpose()
+        return Matrix.from_columns(self.field, self.dim, cols)
 
     def basis_vector(self, i):
         return tuple(self.field.one if t == i else self.field.zero for t in range(self.dim))
@@ -113,28 +114,48 @@ def matrix_from_flat(field, flat, rows, cols) -> Matrix:
     return Matrix.from_rows(field, [flat[r * cols:(r + 1) * cols] for r in range(rows)])
 
 
+def _leibniz_rows(a: FiniteAlgebra, offset=0) -> list:
+    """The Leibniz constraints on an unknown m x m matrix D, flattened from
+    column offset, one sparse row per (i, j, output coordinate t):
+
+        sum_c D[t][c] mult[i][j]_c - sum_r D[r][i] mult[r][j]_t - sum_r D[r][j] mult[i][r]_t = 0
+    """
+    m = a.dim
+    rows = []
+    for i, j, t in product(range(m), repeat=3):
+        row = {}
+        for c, x in enumerate(a.mult[i][j]):
+            add_entry(row, offset + t * m + c, x)
+        for r in range(m):
+            add_entry(row, offset + r * m + i, -a.mult[r][j][t])
+            add_entry(row, offset + r * m + j, -a.mult[i][r][t])
+        rows.append(row)
+    return rows
+
+
+def _commutator_rows(act: Matrix) -> list:
+    """[D, act] = 0 entrywise in an unknown n x n matrix D, flattened: one
+    sparse row per entry (r, c), sum_t D[r][t] act[t][c] - sum_t act[r][t] D[t][c]."""
+    n = act.rows
+    cols = act.transpose().data
+    rows = []
+    for r, c in product(range(n), repeat=2):
+        row = {}
+        for t, x in cols[c]:
+            add_entry(row, r * n + t, x)
+        for t, x in act.data[r]:
+            add_entry(row, t * n + c, -x)
+        rows.append(row)
+    return rows
+
+
 def derivation_space(a: FiniteAlgebra) -> Subspace:
     """All Leibniz matrices, as a subspace of flattened m x m matrices.
 
     The Leibniz constraints are one linear system in the m^2 unknown entries
     D[r][c]; its kernel is Der_k(A).
     """
-    m = a.dim
-    f = a.field
-    rows = []
-    # constraint per (i, j, output coordinate t):
-    #   sum_c D[t][c] mult[i][j]_c - sum_r D[r][i] mult[r][j]_t - sum_r D[r][j] mult[i][r]_t = 0
-    for i in range(m):
-        for j in range(m):
-            for t in range(m):
-                row = [f.zero] * (m * m)
-                for c in range(m):
-                    row[t * m + c] = row[t * m + c] + a.mult[i][j][c]
-                for r in range(m):
-                    row[r * m + i] = row[r * m + i] - a.mult[r][j][t]
-                    row[r * m + j] = row[r * m + j] - a.mult[i][r][t]
-                rows.append(tuple(row))
-    return kernel_subspace(Matrix.from_rows(f, rows))
+    return kernel_subspace(Matrix.from_dicts(a.field, a.dim * a.dim, _leibniz_rows(a)))
 
 
 class AModule:
@@ -175,21 +196,8 @@ def regular_module(a: FiniteAlgebra) -> AModule:
 
 def endomorphism_space(mod: AModule) -> Subspace:
     """A-linear endomorphisms: matrices commuting with every action matrix."""
-    n = mod.dim
-    f = mod.field
-    rows = []
-    for act in mod.action:
-        # [D, act] = 0, entrywise in the unknown D
-        for r in range(n):
-            for c in range(n):
-                row = [f.zero] * (n * n)
-                for t in range(n):
-                    row[r * n + t] = row[r * n + t] + act.entries[t][c]
-                    row[t * n + c] = row[t * n + c] - act.entries[r][t]
-                rows.append(tuple(row))
-    if not rows:
-        return Subspace.full(f, n * n)
-    return kernel_subspace(Matrix.from_rows(f, rows))
+    rows = [row for act in mod.action for row in _commutator_rows(act)]
+    return kernel_subspace(Matrix.from_dicts(mod.field, mod.dim * mod.dim, rows))
 
 
 @dataclass
@@ -228,32 +236,16 @@ def atiyah_object(a: FiniteAlgebra, mod: AModule) -> AtiyahObject:
     rows = []
     # pair Leibniz: D act(e_b) - act(e_b) D - sum_c Dbar[c][b] act(e_c) = 0
     for b in range(m):
-        act = mod.action[b]
-        for r in range(n):
-            for c in range(n):
-                row = [f.zero] * unknowns
-                for t in range(n):
-                    row[r * n + t] = row[r * n + t] + act.entries[t][c]
-                    row[t * n + c] = row[t * n + c] - act.entries[r][t]
-                for cc in range(m):
-                    row[nn + cc * m + b] = row[nn + cc * m + b] - mod.action[cc].entries[r][c]
-                rows.append(tuple(row))
+        for (r, c), row in zip(product(range(n), repeat=2), _commutator_rows(mod.action[b])):
+            for cc, act in enumerate(mod.action):
+                add_entry(row, nn + cc * m + b, -dict(act.data[r]).get(c, f.zero))
+            rows.append(row)
     # Dbar Leibniz
-    for i in range(m):
-        for j in range(m):
-            for t in range(m):
-                row = [f.zero] * unknowns
-                for c in range(m):
-                    row[nn + t * m + c] = row[nn + t * m + c] + a.mult[i][j][c]
-                for r in range(m):
-                    row[nn + r * m + i] = row[nn + r * m + i] - a.mult[r][j][t]
-                    row[nn + r * m + j] = row[nn + r * m + j] - a.mult[i][r][t]
-                rows.append(tuple(row))
-    space = kernel_subspace(Matrix.from_rows(f, rows))
+    rows.extend(_leibniz_rows(a, nn))
+    space = kernel_subspace(Matrix.from_dicts(f, unknowns, rows))
     symbol_image = Subspace.span(f, m * m, [v[nn:] for v in space.basis])
     # zero-symbol slice of the solution space, projected to the operator block
-    sym_rows = [tuple((f.one if idx == nn + t else f.zero) for idx in range(unknowns))
-                for t in range(m * m)]
-    zero_symbol = kernel_subspace(Matrix.from_rows(f, sym_rows)).intersect(space)
+    sym = Matrix(f, m * m, unknowns, tuple(((nn + t, f.one),) for t in range(m * m)))
+    zero_symbol = kernel_subspace(sym).intersect(space)
     kernel = Subspace.span(f, nn, [v[:nn] for v in zero_symbol.basis])
     return AtiyahObject(space, symbol_image, kernel, endomorphism_space(mod), derivation_space(a))

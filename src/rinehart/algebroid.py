@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .algebra import AModule, FiniteAlgebra, Violation, is_derivation, regular_module
-from .linalg import Matrix, Subspace, combination, kernel_subspace
+from .linalg import Matrix, Subspace, block_diagonal, combination, kernel_subspace
 
 
 class LieRinehartAlgebroid:
@@ -58,15 +58,7 @@ class LieRinehartAlgebroid:
 
     def algebra_action_on_sections(self, b) -> Matrix:
         """Multiplication by e_b on L in k-coordinates (block diagonal)."""
-        f = self.field
-        blk = self.algebra.mult_matrix(self.algebra.basis_vector(b))
-        size = self.kdim
-        rows = [[f.zero] * size for _ in range(size)]
-        for i in range(self.n):
-            for r in range(self.m):
-                for c in range(self.m):
-                    rows[i * self.m + r][i * self.m + c] = blk.entries[r][c]
-        return Matrix.from_rows(f, rows)
+        return block_diagonal(self.algebra.mult_matrix(self.algebra.basis_vector(b)), self.n)
 
 
 @dataclass
@@ -233,8 +225,5 @@ def validate_representation(L: LieRinehartAlgebroid, R: Representation) -> list[
 
 def invariants(L: LieRinehartAlgebroid, R: Representation) -> Subspace:
     """{m in M : rho(u)(m) = 0 for every k-basis element u of L}."""
-    f = R.module.field
-    rows = [row for mat in R.basis_actions for row in mat.entries]
-    if not rows:
-        return Subspace.full(f, R.module.dim)
-    return kernel_subspace(Matrix.from_rows(f, rows))
+    rows = tuple(row for mat in R.basis_actions for row in mat.data)
+    return kernel_subspace(Matrix(R.module.field, len(rows), R.module.dim, rows))

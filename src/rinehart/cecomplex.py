@@ -66,12 +66,12 @@ def ce_complex(L: LieRinehartAlgebroid, R: Representation) -> CEComplex:
     diffs = []
     for p in range(n):
         index_p = {t: i for i, t in enumerate(tuples[p])}
-        rows = [[f.zero] * dims[p] for _ in range(dims[p + 1])]
+        rows = [{} for _ in range(dims[p + 1])]
         for ti, T in enumerate(tuples[p + 1]):
             for sgn, pair, x, S in koszul_terms(L.bracket, T):
                 block = R.rho[x] if pair is None else R.module.act_vec(x)
                 add_block(rows, ti * N, index_p[S] * N, block, sgn)
-        diffs.append(Matrix.from_rows(f, rows))
+        diffs.append(Matrix.from_dicts(f, dims[p], rows))
     try:
         cx = CochainComplex(f, dims, diffs)
     except ConstructionInconsistent as e:
@@ -143,7 +143,7 @@ def total_complex(L: LieRinehartAlgebroid, C: RepComplex) -> CochainComplex:
         dims.append(total)
     diffs = []
     for k in range(top):
-        rows = [[f.zero] * dims[k] for _ in range(dims[k + 1])]
+        rows = [{} for _ in range(dims[k + 1])]
         for a, src_off in offsets[k].items():
             b = k - a
             # vertical: (-1)^a d_rho into block (a, b+1)
@@ -156,5 +156,5 @@ def total_complex(L: LieRinehartAlgebroid, C: RepComplex) -> CochainComplex:
                 delta = C.maps[a]
                 for t in range(len(ces[a].tuples[b])):
                     add_block(rows, dst_off + t * delta.rows, src_off + t * delta.cols, delta)
-        diffs.append(Matrix.from_rows(f, rows))
+        diffs.append(Matrix.from_dicts(f, dims[k], rows))
     return CochainComplex(f, dims, diffs)

@@ -14,7 +14,7 @@ where the bound fixes it and certified by convergence to H^n of the complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from functools import cached_property
 
 from .errors import ConstructionInconsistent, DegreeOutOfRange, EngineError, IncompatibleFiltration
@@ -227,11 +227,8 @@ def _page_differentials(fc: FilteredComplex, page: SpectralPage, r: int):
             page.diffs[(p, q)] = Matrix.zero(cx.field, tdim, e.dim)
             continue
         d = cx.diff(s)
-        cols = []
-        for z in e.reps:
-            w = d.apply(z)
-            cols.append(page.coordinates(p + r, q - r + 1, w))
-        page.diffs[(p, q)] = Matrix.from_rows(cx.field, cols).transpose()
+        page.diffs[(p, q)] = Matrix.from_columns(
+            cx.field, tdim, [page.coordinates(p + r, q - r + 1, d.apply(z)) for z in e.reps])
 
 
 def spectral_pages(fc: FilteredComplex, r_max: int = 1):
@@ -239,17 +236,18 @@ def spectral_pages(fc: FilteredComplex, r_max: int = 1):
 
     The limit page is the page at the filtration-length bound T+1, past which
     no differential can be nonzero; its antidiagonal totals must equal the
-    dims of H^n of the unfiltered complex.
+    dims of H^n of the unfiltered complex.  Pages are built up to the bound
+    only: under the clamping every later page has the same Z_r and B_r, so it
+    is E_{T+1} again, with every differential leaving the filtration range.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     cx = fc.complex
     bound = fc.top_index + 1
-    upto = max(r_max, bound)
-    pages = [_page(fc, r) for r in range(1, upto + 1)]
+    pages = [_page(fc, r) for r in range(1, bound + 1)]
     for r, page in enumerate(pages, start=1):
         _page_differentials(fc, page, r)
-    einf = pages[bound - 1]
+    einf = pages[-1]
     # d_r o d_r = 0 and the subquotient identity for the next page
     for r, page in enumerate(pages, start=1):
         for (p, q), m in page.diffs.items():
@@ -257,7 +255,7 @@ def spectral_pages(fc: FilteredComplex, r_max: int = 1):
             if nxt is not None and m.cols and nxt.rows:
                 if not nxt.mul(m).is_zero():
                     raise EngineError(f"d_{r} o d_{r} != 0 at {(p, q)}")
-        if r < upto:
+        if r < bound:
             ranks = {pq: rank(m) for pq, m in page.diffs.items()}
             for (p, q), e in page.entries.items():
                 in_rank = ranks.get((p - r, q + r - 1), 0)
@@ -276,6 +274,7 @@ def spectral_pages(fc: FilteredComplex, r_max: int = 1):
     report = PagesReport(stable_at, bound, convergence)
     if not report.converged:
         raise EngineError(f"limit page does not converge to total cohomology: {convergence}")
+    pages += [replace(einf, r=r) for r in range(bound + 1, r_max + 1)]
     return pages[:r_max], einf, report
 
 
@@ -326,16 +325,12 @@ def edge_maps(fc: FilteredComplex, e2: SpectralPage) -> EdgeMaps:
         if any(d2m.apply(w)):
             raise EngineError("E2^{2,0} representative is not a cocycle; filtration is not first-quadrant")
 
-    inf1_cols = [_class_coordinates(cx.field, h1, z) for z in e10.reps]
-    inflation1 = Matrix.from_rows(cx.field, inf1_cols).transpose() if inf1_cols \
-        else Matrix.zero(cx.field, h1.dim, 0)
-    res_cols = [e2.coordinates(0, 1, z) for z in h1.reps]
-    restriction = Matrix.from_rows(cx.field, res_cols).transpose() if res_cols \
-        else Matrix.zero(cx.field, e01.dim, 0)
+    inflation1 = Matrix.from_columns(cx.field, h1.dim,
+                                     [_class_coordinates(cx.field, h1, z) for z in e10.reps])
+    restriction = Matrix.from_columns(cx.field, e01.dim, [e2.coordinates(0, 1, z) for z in h1.reps])
     transgression = e2.diffs.get((0, 1), Matrix.zero(cx.field, e20.dim, e01.dim))
-    inf2_cols = [_class_coordinates(cx.field, h2, w) for w in e20.reps]
-    inflation2 = Matrix.from_rows(cx.field, inf2_cols).transpose() if inf2_cols \
-        else Matrix.zero(cx.field, h2.dim, 0)
+    inflation2 = Matrix.from_columns(cx.field, h2.dim,
+                                     [_class_coordinates(cx.field, h2, w) for w in e20.reps])
 
     for later, earlier, where in ((restriction, inflation1, "restriction o inflation"),
                                   (transgression, restriction, "transgression o restriction"),

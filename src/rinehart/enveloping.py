@@ -30,7 +30,7 @@ from .algebroid import LieRinehartAlgebroid, Representation, anchor_representati
 from .cecomplex import CEComplex, ce_complex, koszul_terms
 from .complexes import total_cohomology_dims
 from .errors import EngineError, ExactnessFailure, MismatchAt
-from .linalg import Matrix, add_block, combination, rank
+from .linalg import Matrix, add_block, add_entry, combination, rank
 
 
 def _monomials(n, dmax):
@@ -213,7 +213,7 @@ class TruncatedEnveloping:
         acting on A through the anchor."""
         A = anchor_representation(self.L)
         cols = [self.action_on_module(mono, A).apply(self.alg.unit) for mono in self.basis]
-        return Matrix.from_rows(self.field, cols).transpose()
+        return Matrix.from_columns(self.field, self.alg.dim, cols)
 
     def to_vector(self, elem):
         v = [self.field.zero] * self.dim
@@ -271,7 +271,7 @@ def rinehart_complex(L: LieRinehartAlgebroid, cutoff: int):
     index_maps = [{bj: t for t, bj in enumerate(b)} for b in bases]
     partials = [None]
     for i in range(1, n + 1):
-        rows = [[f.zero] * len(bases[i]) for _ in range(len(bases[i - 1]))]
+        rows = [{} for _ in range(len(bases[i - 1]))]
         for col, (mono, J) in enumerate(bases[i]):
             # u (x) s_J -> sum +- u s_j (x) s_rest + sum +- u f (x) s_merged, f = [s, s']
             for sgn, pair, x, S in koszul_terms(L.bracket, J):
@@ -282,9 +282,8 @@ def rinehart_complex(L: LieRinehartAlgebroid, cutoff: int):
                 if overflow:
                     raise EngineError("differential escaped the certified levels")
                 for m2, c in image.items():
-                    rows[index_maps[i - 1][(m2, S)]][col] += c if sgn == 1 else -c
-        partials.append(Matrix.from_rows(f, rows) if rows else
-                        Matrix.zero(f, 0, len(bases[i])))
+                    add_entry(rows[index_maps[i - 1][(m2, S)]], col, c if sgn == 1 else -c)
+        partials.append(Matrix.from_dicts(f, len(bases[i]), rows))
     eps = U.augmentation_matrix()
     cx = RinehartComplex(U, bases, partials, eps)
     # complex identities
@@ -298,8 +297,10 @@ def rinehart_complex(L: LieRinehartAlgebroid, cutoff: int):
 
 
 def _submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
-    return Matrix.from_rows(m.field, [[m.entries[r][c] for c in col_idx] for r in row_idx]) \
-        if row_idx and col_idx else Matrix.zero(m.field, len(row_idx), len(col_idx))
+    """The rows row_idx and the columns col_idx of m, both ascending."""
+    keep = {c: k for k, c in enumerate(col_idx)}
+    return Matrix(m.field, len(row_idx), len(col_idx),
+                  tuple(tuple((keep[c], x) for c, x in m.data[r] if c in keep) for r in row_idx))
 
 
 @dataclass
@@ -382,28 +383,26 @@ def hom_complex_iso(cx: RinehartComplex, R: Representation) -> HomIsoCertificate
     one = U.unit()    # 1 = sum_a unit[a] e_a
     transferred = []
     for i in range(min(L.n, U.cutoff)):
-        entries = cx.partials[i + 1].entries
+        columns = cx.partials[i + 1].transpose().data
         column = {b: k for k, b in enumerate(cx.bases[i + 1])}
         index_i = {J: k for k, J in enumerate(ce.tuples[i])}
-        rows = [[f.zero] * ce.complex.dims[i] for _ in range(ce.complex.dims[i + 1])]
+        rows = [{} for _ in range(ce.complex.dims[i + 1])]
         for ti, T in enumerate(ce.tuples[i + 1]):
             # partial(1 (x) s_T), grouped by J
             image = {}
             for unit_mono, u in one.items():
-                k = column[(unit_mono, T)]
-                for r, row in enumerate(entries):
-                    if row[k]:
-                        mono, J = cx.bases[i][r]
-                        elem = image.setdefault(J, {})
-                        elem[mono] = elem.get(mono, f.zero) + u * row[k]
+                for r, x in columns[column[(unit_mono, T)]]:
+                    mono, J = cx.bases[i][r]
+                    elem = image.setdefault(J, {})
+                    elem[mono] = elem.get(mono, f.zero) + u * x
             for J, elem in image.items():
                 add_block(rows, ti * N, index_i[J] * N, U.element_action_on_module(elem, R))
-        got = Matrix.from_rows(f, rows)
+        got = Matrix.from_dicts(f, ce.complex.dims[i], rows)
         want = ce.complex.diff(i)
-        if got.entries != want.entries:
-            witness = next(((r, c) for r in range(got.rows) for c in range(got.cols)
-                            if got.entries[r][c] != want.entries[r][c]), None)
-            raise MismatchAt(i, witness)
+        if got != want:
+            r = next(r for r, (g, w) in enumerate(zip(got.data, want.data)) if g != w)
+            g, w = dict(got.data[r]), dict(want.data[r])
+            raise MismatchAt(i, (r, min(c for c in g.keys() | w.keys() if g.get(c) != w.get(c))))
         transferred.append(got)
     return HomIsoCertificate(ce, list(range(len(transferred))), transferred)
 

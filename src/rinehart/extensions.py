@@ -20,17 +20,15 @@ from .algebroid import (LieRinehartAlgebroid, Representation, anchor_representat
 from .cecomplex import CEComplex, ce_complex, koszul_terms
 from .complexes import Cohomology
 from .errors import EngineError, NotWellDefined
-from .linalg import (Matrix, add_block, class_coordinates, image_subspace, kernel_subspace,
-                     rank, rref)
+from .linalg import (Matrix, add_block, block_diagonal, class_coordinates, hstack,
+                     image_subspace, kernel_subspace, rank, rref)
 
 
 def amap_matrix(L_src: LieRinehartAlgebroid, L_dst: LieRinehartAlgebroid, acoords) -> Matrix:
     """k-matrix of the A-linear map s_j -> sum_l acoords[j][l] s'_l."""
     alg = L_src.algebra
     f = L_src.field
-    if L_dst.kdim == 0 or L_src.kdim == 0:
-        return Matrix.zero(f, L_dst.kdim, L_src.kdim)
-    rows = [[f.zero] * L_src.kdim for _ in range(L_dst.kdim)]
+    rows = [{} for _ in range(L_dst.kdim)]
     for j in range(L_src.n):
         for a in range(alg.dim):
             ea = alg.basis_vector(a)
@@ -39,7 +37,7 @@ def amap_matrix(L_src: LieRinehartAlgebroid, L_dst: LieRinehartAlgebroid, acoord
                 for t in range(alg.dim):
                     if coeff[t]:
                         rows[L_dst.kindex(l, t)][L_src.kindex(j, a)] = coeff[t]
-    return Matrix.from_rows(f, rows)
+    return Matrix.from_dicts(f, L_src.kdim, rows)
 
 
 @dataclass
@@ -148,10 +146,7 @@ def validate_extension(E: ExtensionTriple) -> list[Violation]:
 
 
 def _invert(m: Matrix) -> Matrix:
-    aug = Matrix.from_rows(m.field, [row + tuple(m.field.one if i == j else m.field.zero
-                                                 for j in range(m.rows))
-                                     for i, row in enumerate(m.entries)])
-    red, pivots = rref(aug)
+    red, pivots = rref(hstack(m, Matrix.identity(m.field, m.rows)))
     if pivots != list(range(m.rows)):
         raise EngineError("matrix is not invertible")
     return Matrix.from_rows(m.field, [row[m.rows:] for row in red])
@@ -241,26 +236,18 @@ def _descend_operator(op: Matrix, h: Cohomology, field):
     for b in h.coboundaries.basis:
         if not h.coboundaries.contains(op.apply(b)):
             raise NotWellDefined("operator does not preserve coboundaries")
-    if not h.reps:
-        return Matrix.zero(field, 0, 0)
     out_cols = []
     for z in h.reps:
         x = class_coordinates(field, h.reps, h.coboundaries, op.apply(z))
         if x is None:
             raise NotWellDefined("operator image leaves the cocycle space")
         out_cols.append(x)
-    return Matrix.from_rows(field, out_cols).transpose()
+    return Matrix.from_columns(field, len(h.reps), out_cols)
 
 
 def _module_action_on_cochains(ad: AdaptedExtension, ceK, q: int, b: int) -> Matrix:
     """Multiplication by e_b on K-cochains (A-linear because K has zero anchor)."""
-    f = ad.L_ad.field
-    N = ad.rep.module.dim
-    size = len(ceK.tuples[q]) * N
-    rows = [[f.zero] * size for _ in range(size)]
-    for t in range(len(ceK.tuples[q])):
-        add_block(rows, t * N, t * N, ad.rep.module.action[b])
-    return Matrix.from_rows(f, rows)
+    return block_diagonal(ad.rep.module.action[b], len(ceK.tuples[q]))
 
 
 def _lie_operator_on_k_cochains(ad: AdaptedExtension, ceK, q: int, section_index: int) -> Matrix:
@@ -276,7 +263,7 @@ def _lie_operator_on_k_cochains(ad: AdaptedExtension, ceK, q: int, section_index
     tuples = ceK.tuples[q]
     index_q = {t: i for i, t in enumerate(tuples)}
     size = len(tuples) * N
-    rows = [[f.zero] * size for _ in range(size)]
+    rows = [{} for _ in range(size)]
     for ti, T in enumerate(tuples):
         add_block(rows, ti * N, ti * N, ad.R_ad.rho[section_index])
         for sgn, pair, x, S in koszul_terms(ad.L_ad.bracket, (section_index,) + T):
@@ -285,7 +272,7 @@ def _lie_operator_on_k_cochains(ad: AdaptedExtension, ceK, q: int, section_index
             if S[-1] >= ad.c:
                 raise NotWellDefined("bracket with the kernel leaves the kernel")
             add_block(rows, ti * N, index_q[S] * N, ad.rep.module.act_vec(x), sgn)
-    return Matrix.from_rows(f, rows)
+    return Matrix.from_dicts(f, size, rows)
 
 
 def induced_q_rep(E: ExtensionTriple, R: Representation, q: int) -> Representation:

@@ -20,7 +20,7 @@ from .complexes import (EdgeMaps, FilteredComplex, SpectralPage, edge_maps,
 from .errors import (DimMismatch, ExactnessFailure, FiltrationNotPreserved,
                      IncompatibleFiltration)
 from .extensions import AdaptedExtension, ExtensionTriple, adapt, induced_q_rep_adapted
-from .linalg import Matrix, Subspace, add_block
+from .linalg import Subspace, block_diagonal
 
 
 @dataclass
@@ -124,16 +124,9 @@ def _module_tensor_forms(ad: AdaptedExtension, p: int) -> tuple[AModule, list]:
                     raise FiltrationNotPreserved(
                         "kernel action on the quotient does not vanish")
     copies = comb(ad.r, p)
-    N = ad.rep.module.dim
-
-    def blow_up(mat: Matrix) -> Matrix:
-        rows = [[f.zero] * (copies * N) for _ in range(copies * N)]
-        for t in range(copies):
-            add_block(rows, t * N, t * N, mat)
-        return Matrix.from_rows(f, rows) if copies * N else Matrix.zero(f, 0, 0)
-
-    mod = AModule(alg, copies * N, [blow_up(m) for m in ad.rep.module.action])
-    rho = [blow_up(ad.rho_K.rho[i]) for i in range(ad.c)]
+    mod = AModule(alg, copies * ad.rep.module.dim,
+                  [block_diagonal(m, copies) for m in ad.rep.module.action])
+    rho = [block_diagonal(ad.rho_K.rho[i], copies) for i in range(ad.c)]
     return mod, rho
 
 

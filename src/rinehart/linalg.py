@@ -7,128 +7,186 @@ nonzero column becomes a new pivot and is cleared from the other rows.  The
 RREF, its pivot columns, the kernel vectors with a unit at each free column
 and the solution of m x = b with free coordinates zero are all unique, which
 fixes every basis and representative the engine reports.
+
+A `Matrix` holds only the nonzero entries of each row, and every operation,
+the elimination included, walks those alone; a dense view exists for rendering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotASubspace
+from .errors import EngineError, NotASubspace
 from .fields import Field
 
 
 Vector = tuple
 
 
+def _nonzeros(v) -> tuple:
+    """The nonzero (index, value) pairs of a dense vector, in index order."""
+    return tuple((j, x) for j, x in enumerate(v) if x)
+
+
+def _sparse_row(acc: dict) -> tuple:
+    """A sparse row from a {col: value} accumulator: zeros dropped, columns sorted."""
+    return tuple(sorted((j, x) for j, x in acc.items() if x))
+
+
+def _dense(pairs, n, z) -> Vector:
+    out = [z] * n
+    for j, x in pairs:
+        out[j] = x
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Matrix:
+    """A rows x cols matrix held as sparse rows: data[i] is the tuple of the
+    nonzero (col, value) pairs of row i, in column order.  No zero is ever
+    stored, so equal matrices have equal data and equal hashes.  Every
+    operation walks nonzeros only; `entries` is a dense view for rendering."""
     field: Field
     rows: int
     cols: int
-    entries: tuple  # tuple of row tuples
+    data: tuple
 
     @staticmethod
     def from_rows(field, rows_list):
-        rows_t = tuple(tuple(r) for r in rows_list)
+        """From dense rows of one length; zero entries are dropped."""
+        rows_t = [tuple(r) for r in rows_list]
         ncols = len(rows_t[0]) if rows_t else 0
-        for r in rows_t:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        return Matrix(field, len(rows_t), ncols, rows_t)
+        if any(len(r) != ncols for r in rows_t):
+            raise ValueError("ragged rows")
+        return Matrix(field, len(rows_t), ncols, tuple(map(_nonzeros, rows_t)))
+
+    @staticmethod
+    def from_columns(field, rows, columns):
+        """From dense columns of length rows; zero entries are dropped."""
+        return Matrix(field, len(columns), rows, tuple(map(_nonzeros, columns))).transpose()
+
+    @staticmethod
+    def from_dicts(field, cols, dict_rows):
+        """From rows {col: value} with every col < cols; zero values are dropped."""
+        return Matrix(field, len(dict_rows), cols, tuple(map(_sparse_row, dict_rows)))
 
     @staticmethod
     def zero(field, rows, cols):
-        z = field.zero
-        return Matrix(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return Matrix(field, rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(field, n):
-        z, o = field.zero, field.one
-        return Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return Matrix(field, n, n, tuple(((i, field.one),) for i in range(n)))
 
-    def entry(self, i, j):
-        return self.entries[i][j]
+    @property
+    def entries(self) -> tuple:
+        """Dense view, a tuple of row tuples."""
+        z = self.field.zero
+        return tuple(_dense(row, self.cols, z) for row in self.data)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} applied to a matrix with {self.cols} columns")
         z = self.field.zero
         out = []
-        for i in range(self.rows):
-            row = self.entries[i]
+        for row in self.data:
             acc = z
-            for j in range(self.cols):
+            for j, x in row:
                 if v[j]:
-                    acc = acc + row[j] * v[j]
+                    acc = acc + x * v[j]
             out.append(acc)
         return tuple(out)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        z = self.field.zero
+        right = other.data
         out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out_row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    if row[k]:
-                        acc = acc + row[k] * other.entries[k][j]
-                out_row.append(acc)
-            out.append(tuple(out_row))
+        for row in self.data:
+            acc = {}
+            for k, a in row:
+                for j, b in right[k]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(_sparse_row(acc))
         return Matrix(self.field, self.rows, other.cols, tuple(out))
 
     def sub(self, other: "Matrix") -> "Matrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(a - b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}")
+        out = []
+        for r1, r2 in zip(self.data, other.data):
+            acc = dict(r1)
+            for j, x in r2:
+                acc[j] = acc[j] - x if j in acc else -x
+            out.append(_sparse_row(acc))
+        return Matrix(self.field, self.rows, self.cols, tuple(out))
 
     def scale(self, c) -> "Matrix":
+        if not c:
+            return Matrix.zero(self.field, self.rows, self.cols)
         return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(c * a for a in r) for r in self.entries))
+                      tuple(tuple((j, c * x) for j, x in row) for row in self.data))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(self.data)
 
     def column(self, j) -> Vector:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        z = self.field.zero
+        return tuple(dict(row).get(j, z) for row in self.data)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                            for j in range(self.cols)))
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row:
+                cols[j].append((i, x))
+        return Matrix(self.field, self.cols, self.rows, tuple(map(tuple, cols)))
 
 
 def combination(field, rows, cols, terms) -> Matrix:
     """The rows x cols matrix sum of c * m over the (c, m) pairs of terms, in
     one pass over the nonzero entries; an empty sum is the zero matrix."""
-    acc = [[field.zero] * cols for _ in range(rows)]
+    acc = [{} for _ in range(rows)]
     for c, m in terms:
         if not c:
             continue
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError(f"{m.rows}x{m.cols} term in a {rows}x{cols} combination")
-        for out, row in zip(acc, m.entries):
-            for j, x in enumerate(row):
-                if x:
-                    out[j] = out[j] + c * x
-    return Matrix(field, rows, cols, tuple(tuple(r) for r in acc))
+        for out, row in zip(acc, m.data):
+            for j, x in row:
+                out[j] = out[j] + c * x if j in out else c * x
+    return Matrix.from_dicts(field, cols, acc)
+
+
+def block_diagonal(block: Matrix, copies: int) -> Matrix:
+    """copies of block down the diagonal."""
+    return Matrix(block.field, copies * block.rows, copies * block.cols,
+                  tuple(tuple((t * block.cols + j, x) for j, x in row)
+                        for t in range(copies) for row in block.data))
+
+
+def hstack(a: Matrix, b: Matrix) -> Matrix:
+    """The columns of a followed by those of b; both have the same rows."""
+    return Matrix(a.field, a.rows, a.cols + b.cols,
+                  tuple(r + tuple((a.cols + j, x) for j, x in s) for r, s in zip(a.data, b.data)))
+
+
+def add_entry(row: dict, k, x):
+    """row[k] += x on a row {col: value} being assembled, when x is nonzero."""
+    if x:
+        row[k] = row[k] + x if k in row else x
 
 
 def add_block(rows, r0, c0, block: Matrix, sign=1):
     """rows[r0 + a][c0 + b] += sign * block[a][b] over the nonzero entries of
-    block, where rows is a list of row lists being assembled and sign is +1 or -1."""
-    for a, brow in enumerate(block.entries):
+    block, where rows is a list of {col: value} rows being assembled (see
+    Matrix.from_dicts) and sign is +1 or -1."""
+    for a, brow in enumerate(block.data):
         row = rows[r0 + a]
-        for b, v in enumerate(brow):
-            if v:
-                row[c0 + b] += v if sign == 1 else -v
+        for b, v in brow:
+            if sign != 1:
+                v = -v
+            k = c0 + b
+            row[k] = row[k] + v if k in row else v
 
 
 def _sub_scaled(w: dict, f, row: dict):
@@ -166,12 +224,12 @@ class RowBasis:
         return sorted(self.rows)
 
     def dense(self, c) -> Vector:
-        row, z = self.rows[c], self.field.zero
-        return tuple(row.get(j, z) for j in range(self.n))
+        return _dense(self.rows[c].items(), self.n, self.field.zero)
 
     def reduce(self, v) -> dict:
-        """Nonzero entries of v minus its part in the span: empty iff v lies in it."""
-        w = {j: x for j, x in enumerate(v) if x}
+        """Nonzero entries of v minus its part in the span, for v given by its
+        nonzero (col, value) pairs: empty iff v lies in the span."""
+        w = dict(v)
         for c in [c for c in w if c in self.rows]:
             _sub_scaled(w, w[c], self.rows[c])
         return w
@@ -194,7 +252,7 @@ class RowBasis:
 def echelon(m: Matrix) -> RowBasis:
     """Reduced row echelon basis of the row space of m."""
     basis = RowBasis(m.field, m.cols)
-    for row in m.entries:
+    for row in m.data:
         basis.add(row)
     return basis
 
@@ -227,7 +285,7 @@ def kernel_vectors(m: Matrix):
 
 def solve(m: Matrix, b: Vector):
     """One solution of m x = b with free coordinates set to zero, or None."""
-    aug = echelon(Matrix.from_rows(m.field, [row + (bv,) for row, bv in zip(m.entries, b)]))
+    aug = echelon(hstack(m, Matrix.from_columns(m.field, m.rows, [b])))
     if m.cols in aug.rows:
         return None
     x = [m.field.zero] * m.cols
@@ -239,10 +297,9 @@ def solve(m: Matrix, b: Vector):
 def class_coordinates(field, reps, den: "Subspace", vector):
     """Coefficients of vector on reps modulo den: solves [reps | den basis] x = vector
     and keeps x[:len(reps)]; () when both are empty, None when there is no solution."""
-    cols = [list(v) for v in reps] + [list(v) for v in den.basis]
-    if not cols:
+    if not reps and not den.basis:
         return ()
-    x = solve(Matrix.from_rows(field, cols).transpose(), tuple(vector))
+    x = solve(Matrix.from_columns(field, len(vector), list(reps) + den.basis), tuple(vector))
     return None if x is None else x[:len(reps)]
 
 
@@ -268,7 +325,7 @@ class Subspace:
         v = tuple(v)
         if len(v) != self.ambient_dim:
             raise ValueError("basis vector of wrong length")
-        if not self._rows.add(v):
+        if not self._rows.add(_nonzeros(v)):
             return False
         self.basis.append(v)
         return True
@@ -283,10 +340,8 @@ class Subspace:
 
     @staticmethod
     def full(field, ambient_dim):
-        o, z = field.one, field.zero
-        return Subspace(field, ambient_dim,
-                        [tuple(o if i == j else z for i in range(ambient_dim))
-                         for j in range(ambient_dim)])
+        return Subspace(field, ambient_dim, [_dense(((j, field.one),), ambient_dim, field.zero)
+                                             for j in range(ambient_dim)])
 
     @staticmethod
     def span(field, ambient_dim, vectors):
@@ -303,7 +358,7 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains(self, v) -> bool:
-        return not self._rows.reduce(v)
+        return not self._rows.reduce(_nonzeros(v))
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -330,51 +385,39 @@ class Subspace:
         if other.contains_space(self):
             return self
         # columns (alpha | beta) with sum alpha_i u_i = sum beta_j v_j
-        rows = []
-        for t in range(self.ambient_dim):
-            row = [self.basis[i][t] for i in range(len(self.basis))]
-            row += [-other.basis[j][t] for j in range(len(other.basis))]
-            rows.append(tuple(row))
-        ker = kernel_vectors(Matrix.from_rows(self.field, rows)) if rows else []
-        vecs = []
-        for k in ker:
-            v = [self.field.zero] * self.ambient_dim
-            for i, u in enumerate(self.basis):
-                if k[i]:
-                    v = [a + k[i] * b for a, b in zip(v, u)]
-            vecs.append(tuple(v))
-        return Subspace.span(self.field, self.ambient_dim, vecs)
+        neg = [tuple(-x for x in v) for v in other.basis]
+        ker = kernel_vectors(Matrix.from_columns(self.field, self.ambient_dim, self.basis + neg))
+        u = Matrix.from_columns(self.field, self.ambient_dim, self.basis)
+        return Subspace.span(self.field, self.ambient_dim, [u.apply(k[:self.dim]) for k in ker])
 
     def preimage(self, m: Matrix) -> "Subspace":
         """{v : m v in self}, for m mapping k^cols into this ambient space."""
-        assert m.rows == self.ambient_dim
+        if m.rows != self.ambient_dim:
+            raise ValueError(f"preimage under a {m.rows}x{m.cols} matrix of a subspace "
+                             f"of k^{self.ambient_dim}")
         if self.is_full():
             return Subspace.full(self.field, m.cols)
         # kernel of (v, beta) |-> m v - sum beta_j w_j, projected to v
-        rows = []
-        for t in range(self.ambient_dim):
-            row = list(m.entries[t]) + [-w[t] for w in self.basis]
-            rows.append(tuple(row))
-        ker = kernel_vectors(Matrix.from_rows(self.field, rows))
-        vecs = [k[:m.cols] for k in ker]
-        return Subspace.span(self.field, m.cols, vecs)
+        neg = Matrix.from_columns(self.field, m.rows, [tuple(-x for x in w) for w in self.basis])
+        ker = kernel_vectors(hstack(m, neg))
+        return Subspace.span(self.field, m.cols, [k[:m.cols] for k in ker])
 
     def image(self, m: Matrix) -> "Subspace":
         """Image of this subspace under m (ambient = columns of m)."""
-        assert m.cols == self.ambient_dim
+        if m.cols != self.ambient_dim:
+            raise ValueError(f"image under a {m.rows}x{m.cols} matrix of a subspace "
+                             f"of k^{self.ambient_dim}")
         return Subspace.span(self.field, m.rows, [m.apply(v) for v in self.basis])
 
     def coordinates(self, v):
         """Coefficients of v in this basis, or None if v is outside the span."""
-        if not self.basis:
-            return () if not any(v) else None
-        cols = Matrix.from_rows(self.field, self.basis).transpose()
-        return solve(cols, tuple(v))
+        return solve(Matrix.from_columns(self.field, self.ambient_dim, self.basis), tuple(v))
 
 
 def image_subspace(m: Matrix) -> Subspace:
     """Column space of m, with the pivot columns of m as basis."""
-    basis = [m.column(j) for j in echelon(m).pivots()]
+    cols, z = m.transpose().data, m.field.zero
+    basis = [_dense(cols[j], m.rows, z) for j in echelon(m).pivots()]
     return Subspace(m.field, m.rows, basis)
 
 
@@ -385,7 +428,7 @@ def kernel_subspace(m: Matrix) -> Subspace:
 def complete_basis(base: Subspace, candidates) -> list:
     """Candidates (in order) that extend `base` to an independent family."""
     rows = base._rows.copy()
-    return [tuple(v) for v in candidates if rows.add(v)]
+    return [tuple(v) for v in candidates if rows.add(_nonzeros(v))]
 
 
 def quotient_dim(V: Subspace, W: Subspace):
@@ -394,5 +437,7 @@ def quotient_dim(V: Subspace, W: Subspace):
         if not V.contains(v):
             raise NotASubspace("W has a basis vector outside span(V)")
     reps = complete_basis(W, V.basis)
-    assert len(reps) == V.dim - W.dim
+    if len(reps) != V.dim - W.dim:
+        raise EngineError(f"{len(reps)} coset representatives for a quotient "
+                          f"of dim {V.dim - W.dim}")
     return V.dim - W.dim, reps

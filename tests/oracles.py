@@ -135,3 +135,58 @@ def limit_page_dims(fc):
             if num.dim != den.dim:
                 out[(p, s - p)] = num.dim - den.dim
     return out
+
+
+# -- dense reference for linalg.Matrix: lists of row lists, every entry visited --
+
+def sparse_rows(rows):
+    """The one sparse form of a dense matrix: per row, its nonzero (col, value)
+    pairs in column order."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+
+def dense_mul(a, b, cols, zero):
+    """a (r x k) times b (k x cols)."""
+    out = []
+    for row in a:
+        acc = [zero] * cols
+        for k, x in enumerate(row):
+            for j in range(cols):
+                acc[j] = acc[j] + x * b[k][j]
+        out.append(acc)
+    return out
+
+
+def dense_apply(a, v, zero):
+    out = []
+    for row in a:
+        acc = zero
+        for x, y in zip(row, v):
+            acc = acc + x * y
+        out.append(acc)
+    return tuple(out)
+
+
+def dense_sub(a, b):
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def dense_scale(a, c):
+    return [[c * x for x in row] for row in a]
+
+
+def dense_transpose(a, cols):
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def dense_combination(terms, rows, cols, zero):
+    out = [[zero] * cols for _ in range(rows)]
+    for c, m in terms:
+        out = [[x + c * y for x, y in zip(r, s)] for r, s in zip(out, m)]
+    return out
+
+
+def dense_add_block(rows, r0, c0, block, sign):
+    for a, brow in enumerate(block):
+        for b, x in enumerate(brow):
+            rows[r0 + a][c0 + b] = rows[r0 + a][c0 + b] + (x if sign == 1 else -x)

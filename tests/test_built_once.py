@@ -89,3 +89,12 @@ def test_each_validator_runs_once_per_request(monkeypatch):
         assert code == 0, report
         assert {k: len(v) for k, v in runs.items()} == \
             {"algebra": 1, "extension": 1, "extension data": 1}, command
+
+
+def test_pages_past_the_bound_reuse_the_limit_page(monkeypatch):
+    pages = []
+    monkeypatch.setattr(complexes, "_page", recording(pages)(complexes._page))
+    report, code = cli.run("hs", parse(PROBLEMS / "ext_heis_center.json"), {"max_page": 6})
+    assert code == 0, report
+    assert sorted(report["results"]["pages"], key=int) == [str(r) for r in range(1, 7)]
+    assert len(pages) == 3

@@ -167,3 +167,26 @@ def test_shape_mismatch_raises_value_error():
         m.apply((Fraction(1),))
     with pytest.raises(ValueError):
         m.mul(qmat([[1, 2, 3]]))
+
+
+def test_sub_shape_mismatch_raises_value_error():
+    with pytest.raises(ValueError, match="subtract"):
+        qmat([[1, 2], [3, 4]]).sub(qmat([[1, 2]]))
+
+
+def test_preimage_shape_mismatch_raises_value_error():
+    with pytest.raises(ValueError, match="preimage"):
+        Subspace.zero(QQ, 3).preimage(qmat([[1, 0], [0, 1]]))
+
+
+def test_image_shape_mismatch_raises_value_error():
+    with pytest.raises(ValueError, match="image"):
+        Subspace.full(QQ, 3).image(qmat([[1, 0], [0, 1]]))
+
+
+def test_quotient_dim_checks_its_representative_count(monkeypatch):
+    from rinehart import linalg
+    from rinehart.errors import EngineError
+    monkeypatch.setattr(linalg, "complete_basis", lambda base, candidates: [])
+    with pytest.raises(EngineError, match="coset representatives"):
+        quotient_dim(Subspace.full(QQ, 2), Subspace.zero(QQ, 2))

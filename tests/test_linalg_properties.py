@@ -1,6 +1,8 @@
 """Property tests for the elimination engine against sympy (over Q) and the
 brute-force rank oracle (over F_5), on small sparse matrices with zero rows,
-duplicate rows and all-zero matrices."""
+duplicate rows and all-zero matrices; and for every sparse `Matrix` operation
+against the dense reference in oracles.py, over Q and F_5, on shapes down to
+0 x n and n x 0."""
 
 from fractions import Fraction
 
@@ -9,9 +11,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import rank_mod_p
+from oracles import (dense_add_block, dense_apply, dense_combination, dense_mul, dense_scale,
+                     dense_sub, dense_transpose, rank_mod_p, sparse_rows)
 from rinehart.fields import GF, QQ
-from rinehart.linalg import Matrix, Subspace, complete_basis, kernel_vectors, rank, rref, solve
+from rinehart.linalg import (Matrix, Subspace, add_block, combination, complete_basis,
+                             kernel_vectors, rank, rref, solve)
 
 F5 = GF(5)
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -160,3 +164,151 @@ def test_subspace_rejects_a_repeated_vector():
     v = (Fraction(1), Fraction(2))
     with pytest.raises(ValueError, match="dependent"):
         Subspace(QQ, 2, [v, tuple(2 * x for x in v)])
+
+
+# -- the sparse Matrix against the dense reference in oracles.py --------------
+
+SIZES = st.integers(0, 4)
+MATRIX_FIELDS = [QQ, F5]
+
+
+def values(field):
+    if field is QQ:
+        return Q_ENTRIES.map(Fraction)
+    return F5_ENTRIES.map(F5.from_int)
+
+
+@st.composite
+def dense(draw, field, r, c):
+    """An r x c list of row lists, mostly zeros, sometimes with a zero row or column."""
+    rows = [[draw(values(field)) for _ in range(c)] for _ in range(r)]
+    if r and draw(st.booleans()):
+        rows[draw(st.integers(0, r - 1))] = [field.zero] * c
+    if c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in rows:
+            row[j] = field.zero
+    return rows
+
+
+@st.composite
+def nearby(draw, field, rows):
+    """rows with some entries redrawn, so that differences often cancel."""
+    return [[x if draw(st.booleans()) else draw(values(field)) for x in row] for row in rows]
+
+
+def mat(field, rows, cols):
+    return Matrix(field, len(rows), cols, sparse_rows(rows))
+
+
+def assert_is(m, rows, cols):
+    """m is the sparse form of the dense rows: shape, entries, no stored zero."""
+    assert (m.rows, m.cols) == (len(rows), cols)
+    assert m.data == sparse_rows(rows)
+    assert m.entries == tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("field", MATRIX_FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_from_rows_drops_explicit_zeros(field, data):
+    r, c = data.draw(st.integers(1, 4)), data.draw(SIZES)
+    rows = data.draw(dense(field, r, c))
+    m = Matrix.from_rows(field, rows)
+    assert_is(m, rows, c)
+    twin = mat(field, rows, c)
+    assert m == twin and hash(m) == hash(twin)
+
+
+@pytest.mark.parametrize("field", MATRIX_FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_mul_and_apply_match_dense(field, data):
+    r, k, c = data.draw(SIZES), data.draw(SIZES), data.draw(SIZES)
+    a, b = data.draw(dense(field, r, k)), data.draw(dense(field, k, c))
+    assert_is(mat(field, a, k).mul(mat(field, b, c)), dense_mul(a, b, c, field.zero), c)
+    v = tuple(data.draw(values(field)) for _ in range(k))
+    assert mat(field, a, k).apply(v) == dense_apply(a, v, field.zero)
+
+
+@pytest.mark.parametrize("field", MATRIX_FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_sub_and_scale_match_dense(field, data):
+    r, c = data.draw(SIZES), data.draw(SIZES)
+    a = data.draw(dense(field, r, c))
+    b = data.draw(nearby(field, a))
+    assert_is(mat(field, a, c).sub(mat(field, b, c)), dense_sub(a, b), c)
+    s = data.draw(values(field))
+    assert_is(mat(field, a, c).scale(s), dense_scale(a, s), c)
+
+
+@pytest.mark.parametrize("field", MATRIX_FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_transpose_column_and_is_zero_match_dense(field, data):
+    r, c = data.draw(SIZES), data.draw(SIZES)
+    a = data.draw(dense(field, r, c))
+    m = mat(field, a, c)
+    t = dense_transpose(a, c)
+    assert_is(m.transpose(), t, r)
+    assert [m.column(j) for j in range(c)] == [tuple(col) for col in t]
+    assert m.is_zero() == (not any(x for row in a for x in row))
+
+
+@pytest.mark.parametrize("field", MATRIX_FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_combination_matches_dense(field, data):
+    r, c = data.draw(SIZES), data.draw(SIZES)
+    terms = [(data.draw(values(field)), data.draw(dense(field, r, c)))
+             for _ in range(data.draw(st.integers(0, 3)))]
+    if terms and data.draw(st.booleans()):
+        coeff, first = terms[0]
+        terms.append((-coeff, data.draw(nearby(field, first))))
+    got = combination(field, r, c, [(s, mat(field, m, c)) for s, m in terms])
+    assert_is(got, dense_combination(terms, r, c, field.zero), c)
+
+
+@pytest.mark.parametrize("field", MATRIX_FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_add_block_matches_dense(field, data):
+    r, c = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    rows, want = [{} for _ in range(r)], [[field.zero] * c for _ in range(r)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        br, bc = data.draw(st.integers(0, r)), data.draw(st.integers(0, c))
+        r0, c0 = data.draw(st.integers(0, r - br)), data.draw(st.integers(0, c - bc))
+        block = data.draw(dense(field, br, bc))
+        for sign in data.draw(st.sampled_from([(1,), (-1,), (1, -1)])):
+            add_block(rows, r0, c0, mat(field, block, bc), sign)
+            dense_add_block(want, r0, c0, block, sign)
+    assert_is(Matrix.from_dicts(field, c, rows), want, c)
+
+
+@pytest.mark.parametrize("field", MATRIX_FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_equality_and_hash_follow_the_entries(field, data):
+    r, c = data.draw(SIZES), data.draw(SIZES)
+    a = data.draw(dense(field, r, c))
+    b = data.draw(nearby(field, a))
+    m, n = mat(field, a, c), mat(field, b, c)
+    assert (m == n) == (a == b)
+    if a == b:
+        assert hash(m) == hash(n)
+    assert m != Matrix.zero(field, r, c + 1)
+
+
+def test_cancelled_entries_are_not_stored():
+    one = Fraction(1)
+    a = Matrix.from_rows(QQ, [[one, one]])
+    b = Matrix.from_rows(QQ, [[one], [-one]])
+    zero = Matrix.zero(QQ, 1, 1)
+    assert a.mul(b) == zero and a.mul(b).data == ((),)
+    assert a.sub(a).data == ((),) and a.scale(Fraction(0)).data == ((),)
+    assert combination(QQ, 1, 2, [(one, a), (-one, a)]).data == ((),)
+    rows = [{}]
+    add_block(rows, 0, 0, a)
+    add_block(rows, 0, 0, a, -1)
+    assert Matrix.from_dicts(QQ, 2, rows) == Matrix.zero(QQ, 1, 2)

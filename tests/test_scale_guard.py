@@ -1,0 +1,43 @@
+"""Problems that are large as linear algebra but small as mathematics must stay
+cheap: abelian k^10 has 1024 cochains and zero differentials, and sl2 at PBW
+degree 6 has an 84-dimensional truncated enveloping algebra.  Each run takes
+well under a second when matrix operations walk only nonzero entries."""
+
+from math import comb
+
+import pytest
+
+from rinehart import cli
+from rinehart.algebra import FiniteAlgebra
+from rinehart.algebroid import LieRinehartAlgebroid
+from rinehart.fields import GF, QQ
+from rinehart.linalg import Matrix
+from rinehart.problems import ProblemFile
+
+
+def lie_problem(field, n, brackets):
+    """A Lie algebra over A = k, with [s_i, s_j] = c s_l for each (i, j, l, c)."""
+    one, zero = field.one, field.zero
+    alg = FiniteAlgebra(field, 1, [[(one,)]], (one,))
+    table = [[[(zero,)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, l, c in brackets:
+        table[i][j][l] = (field.from_int(c),)
+        table[j][i][l] = (field.from_int(-c),)
+    L = LieRinehartAlgebroid(alg, n, [Matrix.zero(field, 1, 1)] * n, table)
+    return ProblemFile(field, alg, L)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_abelian_k10_cohomology(field):
+    report, code = cli.run("cohomology", lie_problem(field, 10, []))
+    assert code == 0, report
+    assert report["results"]["dims"] == [comb(10, p) for p in range(11)]
+
+
+def test_sl2_ext_at_degree_6():
+    # basis (e, f, h): [e, f] = h, [h, e] = 2e, [h, f] = -2f
+    problem = lie_problem(QQ, 3, [(0, 1, 2, 1), (2, 0, 0, 2), (2, 1, 1, -2)])
+    report, code = cli.run("env", problem, {"degree": 6})
+    assert code == 0, report
+    assert report["results"]["pbw_dim"] == comb(9, 3)
+    assert report["results"]["ext_dims"] == [1, 0, 0, 1]
