@@ -8,17 +8,19 @@ derived from the declared data through the Leibniz rule
 
 never input directly.  Validation checks antisymmetry, the Jacobi identity on
 every k-basis triple of that closure, and that the anchor is a morphism of
-k-Lie algebras.  The anchor makes A itself a representation of L, so that last
-check is the flatness check of that representation.
+k-Lie algebras.  The anchor makes A itself a representation of L, whose module
+is A's regular module (which checks the algebra axioms), so each anchor's
+Leibniz rule is that representation's symbol condition and the morphism check
+is its flatness check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
-from .algebra import AModule, FiniteAlgebra, Violation, is_derivation, regular_module
+from .algebra import AModule, FiniteAlgebra, Violation, regular_module
 from .linalg import Matrix, Subspace, block_diagonal, combination, kernel_subspace
 
 
@@ -58,7 +60,7 @@ class LieRinehartAlgebroid:
 
     def algebra_action_on_sections(self, b) -> Matrix:
         """Multiplication by e_b on L in k-coordinates (block diagonal)."""
-        return block_diagonal(self.algebra.mult_matrix(self.algebra.basis_vector(b)), self.n)
+        return block_diagonal(regular_module(self.algebra).action[b], self.n)
 
 
 @dataclass
@@ -88,36 +90,32 @@ class BracketTensor:
 
 
 def build_bracket_tensor(L: LieRinehartAlgebroid) -> BracketTensor:
-    """Expand the declared A-basis bracket to the whole k-basis via Leibniz."""
+    """Expand the declared A-basis bracket to the whole k-basis via Leibniz.
+
+    The coefficient e_a e_b [s_i, s_j]_l is act(e_a e_b) applied to the
+    declared one, and the term e_a a(s_i)(e_b) is column b of the anchor
+    representation's action of e_a s_i.
+    """
     if L._tensor is not None:
         return L._tensor
-    alg = L.algebra
     f = L.field
+    A = anchor_representation(L)
+    prods = [[A.module.act_vec(ab) for ab in row] for row in L.algebra.mult]
+    leibniz = [hat.transpose().data for hat in A.basis_actions]   # column b: e_a a(s_i)(e_b)
     size = L.kdim
     table = [[None] * size for _ in range(size)]
-    for i in range(L.n):
-        for a in range(L.m):
-            ea = alg.basis_vector(a)
-            for j in range(L.n):
-                for b in range(L.m):
-                    eb = alg.basis_vector(b)
-                    out = [f.zero] * size
-                    ab = alg.mult[a][b]
-                    for l in range(L.n):
-                        coeff = alg.mul_vec(ab, L.bracket[i][j][l])
-                        for t in range(L.m):
-                            if coeff[t]:
-                                out[L.kindex(l, t)] = out[L.kindex(l, t)] + coeff[t]
-                    # + e_a a(s_i)(e_b) s_j  -  e_b a(s_j)(e_a) s_i
-                    dg = alg.mul_vec(ea, L.anchors[i].apply(eb))
-                    for t in range(L.m):
-                        if dg[t]:
-                            out[L.kindex(j, t)] = out[L.kindex(j, t)] + dg[t]
-                    dh = alg.mul_vec(eb, L.anchors[j].apply(ea))
-                    for t in range(L.m):
-                        if dh[t]:
-                            out[L.kindex(i, t)] = out[L.kindex(i, t)] - dh[t]
-                    table[L.kindex(i, a)][L.kindex(j, b)] = tuple(out)
+    for i, a, j, b in product(range(L.n), range(L.m), range(L.n), range(L.m)):
+        out = [f.zero] * size
+        for l in range(L.n):
+            for t, c in enumerate(prods[a][b].apply(L.bracket[i][j][l])):
+                if c:
+                    out[L.kindex(l, t)] = out[L.kindex(l, t)] + c
+        # + e_a a(s_i)(e_b) s_j  -  e_b a(s_j)(e_a) s_i
+        for t, c in leibniz[L.kindex(i, a)][b]:
+            out[L.kindex(j, t)] = out[L.kindex(j, t)] + c
+        for t, c in leibniz[L.kindex(j, b)][a]:
+            out[L.kindex(i, t)] = out[L.kindex(i, t)] - c
+        table[L.kindex(i, a)][L.kindex(j, b)] = tuple(out)
     L._tensor = BracketTensor(f, size, table)
     return L._tensor
 
@@ -127,9 +125,9 @@ def validate_algebroid(L: LieRinehartAlgebroid) -> list[Violation]:
     out = []
     out.extend(Violation(f"algebra-{v.axiom}", v.indices, v.detail)
                for v in L.algebra.violations)
-    for i, d in enumerate(L.anchors):
-        if not is_derivation(L.algebra, d):
-            out.append(Violation("anchor-derivation", (i,)))
+    A = anchor_representation(L)
+    symbol = _kept(L, A, _symbol_pairs)
+    out.extend(Violation("anchor-derivation", (i,)) for i in sorted({i for i, _ in symbol}))
     if out:
         return out
     t = build_bracket_tensor(L)
@@ -150,7 +148,7 @@ def validate_algebroid(L: LieRinehartAlgebroid) -> list[Violation]:
                     jac[k] = jac[k] + c * w
         if any(jac):
             out.append(Violation("jacobi", (x, y, z)))
-    out.extend(_morphism_violations(L, anchor_representation(L), "anchor-morphism"))
+    out.extend(Violation("anchor-morphism", pair) for pair in _kept(L, A, _failing_pairs))
     return out
 
 
@@ -201,11 +199,21 @@ def _failing_pairs(L: LieRinehartAlgebroid, R: Representation) -> list:
     return out
 
 
-def _morphism_violations(L: LieRinehartAlgebroid, R: Representation, axiom) -> list[Violation]:
-    """The morphism check of R over L, run once per (L, R) and kept on R."""
-    if L not in R._failing:
-        R._failing[L] = _failing_pairs(L, R)
-    return [Violation(axiom, pair) for pair in R._failing[L]]
+def _symbol_pairs(L: LieRinehartAlgebroid, R: Representation) -> list:
+    """The pairs (i, b) with [R(s_i), act_b] != act(a(s_i)(e_b)); the product
+    act_b R(s_i) is the action of e_b s_i in R.basis_actions."""
+    mod = R.module
+    hats = R.basis_actions
+    return [(i, b) for i, b in product(range(L.n), range(L.m))
+            if R.rho[i].mul(mod.action[b]).sub(hats[L.kindex(i, b)])
+            != mod.act_vec(L.anchors[i].column(b))]
+
+
+def _kept(L: LieRinehartAlgebroid, R: Representation, find) -> list:
+    """find(L, R), run once per (L, R) and kept on R."""
+    if (find, L) not in R._failing:
+        R._failing[find, L] = find(L, R)
+    return R._failing[find, L]
 
 
 def validate_representation(L: LieRinehartAlgebroid, R: Representation) -> list[Violation]:
@@ -213,14 +221,8 @@ def validate_representation(L: LieRinehartAlgebroid, R: Representation) -> list[
     out = [Violation(f"module-{v.axiom}", v.indices, v.detail) for v in R.module.validate()]
     if len(R.rho) != L.n:
         return out + [Violation("rho-shape", (len(R.rho), L.n))]
-    mod = R.module
-    for i in range(L.n):
-        for b in range(L.m):
-            lhs = R.rho[i].mul(mod.action[b]).sub(mod.action[b].mul(R.rho[i]))
-            rhs = mod.act_vec(L.anchors[i].apply(L.algebra.basis_vector(b)))
-            if not lhs.sub(rhs).is_zero():
-                out.append(Violation("symbol", (i, b)))
-    return out + _morphism_violations(L, R, "flatness")
+    out.extend(Violation("symbol", pair) for pair in _kept(L, R, _symbol_pairs))
+    return out + [Violation("flatness", pair) for pair in _kept(L, R, _failing_pairs)]
 
 
 def invariants(L: LieRinehartAlgebroid, R: Representation) -> Subspace:

@@ -18,7 +18,7 @@ from .complexes import total_cohomology_dims
 from .enveloping import ext_dims, hom_complex_iso, rinehart_complex
 from .errors import EngineError, ParseError
 from .hochschild import hs_report
-from .problems import ProblemFile, check_options, parse, problem_hash
+from .problems import ProblemFile, check_options, fmt_vector, parse, problem_hash
 
 COMMANDS = ("validate", "cohomology", "invariants", "hs", "env", "total")
 
@@ -43,10 +43,6 @@ def _validate_all(problem: ProblemFile):
 
 def _clean(validation):
     return all(not v for v in validation.values())
-
-
-def _fmt_vec(field, v):
-    return [field.fmt(x) for x in v]
 
 
 def _pq_table(dims_dict):
@@ -78,14 +74,14 @@ def run(command: str, problem: ProblemFile, options: dict | None = None) -> tupl
             table = ce_cohomology(problem.algebroid, rep)
             report["results"] = {
                 "dims": [d for _, d, _ in table],
-                "representatives": {str(p): [_fmt_vec(field, v) for v in reps]
+                "representatives": {str(p): [fmt_vector(field, v) for v in reps]
                                     for p, _, reps in table},
             }
         elif command == "invariants":
             inv = invariants(problem.algebroid, rep)
             report["results"] = {
                 "dim": inv.dim,
-                "basis": [_fmt_vec(field, v) for v in inv.basis],
+                "basis": [fmt_vector(field, v) for v in inv.basis],
             }
         elif command == "hs":
             if problem.extension_triple is None:
@@ -155,8 +151,6 @@ def _render_lines(value, indent, key=None):
         for k in sorted(value):
             lines.extend(_render_lines(value[k], indent + (1 if key is not None else 0), k))
         return lines
-    if isinstance(value, list):
-        return [label + json.dumps(value)]
     return [label + json.dumps(value)]
 
 

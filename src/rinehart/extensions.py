@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import AModule, Violation
+from .algebra import AModule, Violation, regular_module
 from .algebroid import (LieRinehartAlgebroid, Representation, anchor_representation,
                         build_bracket_tensor, validate_algebroid, validate_representation)
 from .cecomplex import CEComplex, ce_complex, koszul_terms
@@ -26,18 +26,15 @@ from .linalg import (Matrix, add_block, block_diagonal, class_coordinates, hstac
 
 def amap_matrix(L_src: LieRinehartAlgebroid, L_dst: LieRinehartAlgebroid, acoords) -> Matrix:
     """k-matrix of the A-linear map s_j -> sum_l acoords[j][l] s'_l."""
-    alg = L_src.algebra
-    f = L_src.field
+    act = regular_module(L_src.algebra).action
     rows = [{} for _ in range(L_dst.kdim)]
     for j in range(L_src.n):
-        for a in range(alg.dim):
-            ea = alg.basis_vector(a)
+        for a, act_a in enumerate(act):
             for l in range(L_dst.n):
-                coeff = alg.mul_vec(ea, acoords[j][l])
-                for t in range(alg.dim):
-                    if coeff[t]:
-                        rows[L_dst.kindex(l, t)][L_src.kindex(j, a)] = coeff[t]
-    return Matrix.from_dicts(f, L_src.kdim, rows)
+                for t, c in enumerate(act_a.apply(acoords[j][l])):
+                    if c:
+                        rows[L_dst.kindex(l, t)][L_src.kindex(j, a)] = c
+    return Matrix.from_dicts(L_src.field, L_src.kdim, rows)
 
 
 @dataclass
@@ -61,33 +58,26 @@ def extension_from_k_indices(L: LieRinehartAlgebroid, k_indices, sigma_acoords=N
     Structure constants of K and Q are read off from L (restriction and
     projection); whether K really is an ideal etc. is left to validate_extension.
     """
-    alg = L.algebra
-    f = L.field
-    m = alg.dim
     k_indices = list(k_indices)
     q_indices = [i for i in range(L.n) if i not in k_indices]
-    c, r = len(k_indices), len(q_indices)
-    zero_vec = tuple(f.zero for _ in range(m))
-
-    def unit_vec():
-        return tuple(alg.unit)
-
-    k_bracket = [[[L.bracket[k_indices[i]][k_indices[j]][k_indices[l]] for l in range(c)]
-                  for j in range(c)] for i in range(c)]
-    K = LieRinehartAlgebroid(alg, c, [L.anchors[i] for i in k_indices], k_bracket)
-    q_bracket = [[[L.bracket[q_indices[i]][q_indices[j]][q_indices[l]] for l in range(r)]
-                  for j in range(r)] for i in range(r)]
-    Q = LieRinehartAlgebroid(alg, r, [L.anchors[i] for i in q_indices], q_bracket)
-    iota = [[unit_vec() if l == k_indices[j] else zero_vec for l in range(L.n)]
-            for j in range(c)]
-    pi = [[unit_vec() if q_indices[l] == j else zero_vec for l in range(r)]
-          for j in range(L.n)]
+    one = tuple(L.algebra.unit)
+    zero_vec = tuple(L.field.zero for _ in range(L.m))
+    K, Q = _restrict(L, k_indices), _restrict(L, q_indices)
+    iota = [[one if l == k else zero_vec for l in range(L.n)] for k in k_indices]
+    pi = [[one if q == j else zero_vec for q in q_indices] for j in range(L.n)]
     if sigma_acoords is None:
-        sigma = [[unit_vec() if l == q_indices[j] else zero_vec for l in range(L.n)]
-                 for j in range(r)]
+        sigma = [[one if l == q else zero_vec for l in range(L.n)] for q in q_indices]
     else:
         sigma = [[tuple(v) for v in row] for row in sigma_acoords]
     return ExtensionTriple(K, L, Q, iota, pi, sigma)
+
+
+def _restrict(L: LieRinehartAlgebroid, indices) -> LieRinehartAlgebroid:
+    """The sections s_i, i in indices, of L with their anchors and the
+    components of their brackets along the same sections."""
+    return LieRinehartAlgebroid(L.algebra, len(indices), [L.anchors[i] for i in indices],
+                                [[[L.bracket[i][j][l] for l in indices] for j in indices]
+                                 for i in indices])
 
 
 def validate_extension(E: ExtensionTriple) -> list[Violation]:
@@ -113,32 +103,17 @@ def validate_extension(E: ExtensionTriple) -> list[Violation]:
     for i, d in enumerate(K.anchors):
         if not d.is_zero():
             out.append(Violation("kernel-anchor-nonzero", (i,)))
-    tK, tL, tQ = (build_bracket_tensor(X) for X in (K, L, Q))
-    aK, aL, aQ = (anchor_representation(X) for X in (K, L, Q))
-
-    def basis(dim, u):
-        return tuple(f.one if t == u else f.zero for t in range(dim))
-
-    for u in range(K.kdim):
-        eu = basis(K.kdim, u)
-        if aL.rho_of_vector(L, im.apply(eu)) != aK.basis_actions[u]:
-            out.append(Violation("iota-anchor", (u,)))
-        for v in range(u + 1, K.kdim):
-            ev = basis(K.kdim, v)
-            lhs = im.apply(tK.of_basis(u, v))
-            rhs = tL.of_vectors(im.apply(eu), im.apply(ev))
-            if lhs != rhs:
-                out.append(Violation("iota-bracket", (u, v)))
-    for u in range(L.kdim):
-        eu = basis(L.kdim, u)
-        if aQ.rho_of_vector(Q, pm.apply(eu)) != aL.basis_actions[u]:
-            out.append(Violation("pi-anchor", (u,)))
-        for v in range(u + 1, L.kdim):
-            ev = basis(L.kdim, v)
-            lhs = pm.apply(tL.of_basis(u, v))
-            rhs = tQ.of_vectors(pm.apply(eu), pm.apply(ev))
-            if lhs != rhs:
-                out.append(Violation("pi-bracket", (u, v)))
+    # iota and pi preserve anchors and brackets; column u of a map is the image of b_u
+    for name, S, T, mat in (("iota", K, L, im), ("pi", L, Q, pm)):
+        tS, tT = build_bracket_tensor(S), build_bracket_tensor(T)
+        aS, aT = anchor_representation(S), anchor_representation(T)
+        cols = [mat.column(u) for u in range(S.kdim)]
+        for u in range(S.kdim):
+            if aT.rho_of_vector(T, cols[u]) != aS.basis_actions[u]:
+                out.append(Violation(f"{name}-anchor", (u,)))
+            for v in range(u + 1, S.kdim):
+                if mat.apply(tS.of_basis(u, v)) != tT.of_vectors(cols[u], cols[v]):
+                    out.append(Violation(f"{name}-bracket", (u, v)))
     comp = pm.mul(sm)
     if not comp.sub(Matrix.identity(f, Q.kdim)).is_zero():
         out.append(Violation("sigma-not-a-section", ()))
@@ -214,14 +189,8 @@ def adapt(E: ExtensionTriple, R: Representation) -> AdaptedExtension:
             for l in range(c, n):
                 if L_ad.bracket[i][j][l] != zero_vec:
                     raise EngineError("kernel sections are not closed under the bracket")
-    K_sub = LieRinehartAlgebroid(
-        alg, c, anchors_ad[:c],
-        [[[L_ad.bracket[i][j][l] for l in range(c)] for j in range(c)] for i in range(c)])
+    K_sub, Q_quot = _restrict(L_ad, range(c)), _restrict(L_ad, range(c, n))
     rho_K = Representation(R.module, rho_ad[:c])
-    Q_quot = LieRinehartAlgebroid(
-        alg, r, anchors_ad[c:],
-        [[[L_ad.bracket[c + i][c + j][c + l] for l in range(r)] for j in range(r)]
-         for i in range(r)])
     return AdaptedExtension(E, R, L_ad, R_ad, K_sub, rho_K, Q_quot, c, r)
 
 

@@ -133,7 +133,7 @@ class Field:
         if self.kind == "prime":
             return x.v
         if x.denominator == 1:
-            return int(x)
+            return x.numerator
         return f"{x.numerator}/{x.denominator}"
 
     def describe(self) -> str:

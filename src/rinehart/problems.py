@@ -238,7 +238,7 @@ def parse(path) -> ProblemFile:
     return from_dict(data)
 
 
-def _fmt_vector(field, v):
+def fmt_vector(field, v):
     return [field.fmt(x) for x in v]
 
 
@@ -260,13 +260,13 @@ def to_dict(p: ProblemFile) -> dict:
         "field": {"type": f.kind} if f.kind == "rational" else {"type": f.kind, "p": f.p},
         "algebra": {
             "dim": p.algebra.dim,
-            "unit": _fmt_vector(f, p.algebra.unit),
-            "mult": [[_fmt_vector(f, v) for v in row] for row in p.algebra.mult],
+            "unit": fmt_vector(f, p.algebra.unit),
+            "mult": [[fmt_vector(f, v) for v in row] for row in p.algebra.mult],
         },
         "algebroid": {
             "rank": p.algebroid.n,
             "anchor": [_fmt_matrix(f, a) for a in p.algebroid.anchors],
-            "bracket": [[[_fmt_vector(f, v) for v in row] for row in plane]
+            "bracket": [[[fmt_vector(f, v) for v in row] for row in plane]
                         for plane in p.algebroid.bracket],
         },
     }
@@ -280,7 +280,7 @@ def to_dict(p: ProblemFile) -> dict:
     if p.extension is not None:
         ext = {"k_indices": list(p.extension["k_indices"])}
         if p.extension.get("splitting") is not None:
-            ext["splitting"] = [[_fmt_vector(f, v) for v in row]
+            ext["splitting"] = [[fmt_vector(f, v) for v in row]
                                 for row in p.extension["splitting"]]
         else:
             ext["splitting"] = None

@@ -7,11 +7,13 @@ local RREF over F_p.  Only the Lie-algebra case (A = k) is covered; that is
 what the classical expected values are frozen from.  `limit_page_dims` is the
 one exception: it evaluates the E_infinity formula with the engine's subspace
 calculus, straight from the cocycles and coboundaries of the complex, without
-going through any page.
+going through any page.  The algebra product is evaluated here by dense loops
+over the structure constants (`mul_vec`), where the engine reads it off the
+regular module and the anchor representation.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import sympy
@@ -190,3 +192,69 @@ def dense_add_block(rows, r0, c0, block, sign):
     for a, brow in enumerate(block):
         for b, x in enumerate(brow):
             rows[r0 + a][c0 + b] = rows[r0 + a][c0 + b] + (x if sign == 1 else -x)
+
+
+# -- dense reference for the algebra product, straight from the structure constants --
+
+def mul_vec(a, x, y):
+    """The product of the elements x and y (coordinates) of the algebra a."""
+    out = [a.field.zero] * a.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj:
+                for k, s in enumerate(a.mult[i][j]):
+                    out[k] = out[k] + xi * yj * s
+    return tuple(out)
+
+
+def unit_vectors(a):
+    return [tuple(a.field.one if t == i else a.field.zero for t in range(a.dim))
+            for i in range(a.dim)]
+
+
+def algebra_violations(a):
+    """(axiom, indices) of each failing commutativity pair, associativity
+    triple and unit-law index, each kind in lexicographic order."""
+    e = unit_vectors(a)
+    m = range(a.dim)
+    out = [("commutativity", (i, j)) for i, j in combinations(m, 2)
+           if a.mult[i][j] != a.mult[j][i]]
+    out += [("associativity", (i, j, k)) for i, j, k in product(m, repeat=3)
+            if mul_vec(a, mul_vec(a, e[i], e[j]), e[k]) != mul_vec(a, e[i], mul_vec(a, e[j], e[k]))]
+    out += [("unit", (k,)) for k in m if mul_vec(a, a.unit, e[k]) != e[k]]
+    return out
+
+
+def is_derivation(a, d):
+    """Leibniz rule D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on all basis pairs,
+    for a linalg.Matrix d read through its dense entries."""
+    rows, zero = d.entries, a.field.zero
+    e = unit_vectors(a)
+    for i, j in product(range(a.dim), repeat=2):
+        lhs = dense_apply(rows, a.mult[i][j], zero)
+        dei, dej = dense_apply(rows, e[i], zero), dense_apply(rows, e[j], zero)
+        rhs = tuple(x + y for x, y in zip(mul_vec(a, dei, e[j]), mul_vec(a, e[i], dej)))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def bracket_table(L):
+    """[e_a s_i, e_b s_j] at [i m + a][j m + b], in k-coordinates, from
+    [f s_i, g s_j] = f g [s_i, s_j] + f a(s_i)(g) s_j - g a(s_j)(f) s_i."""
+    alg, m, n = L.algebra, L.m, L.n
+    zero = L.field.zero
+    anchors = [d.entries for d in L.anchors]
+    e = unit_vectors(alg)
+    table = [[None] * (n * m) for _ in range(n * m)]
+    for i, a, j, b in product(range(n), range(m), range(n), range(m)):
+        out = [zero] * (n * m)
+        for l in range(n):
+            for t, x in enumerate(mul_vec(alg, alg.mult[a][b], L.bracket[i][j][l])):
+                out[l * m + t] = out[l * m + t] + x
+        for t, x in enumerate(mul_vec(alg, e[a], dense_apply(anchors[i], e[b], zero))):
+            out[j * m + t] = out[j * m + t] + x
+        for t, x in enumerate(mul_vec(alg, e[b], dense_apply(anchors[j], e[a], zero))):
+            out[i * m + t] = out[i * m + t] - x
+        table[i * m + a][j * m + b] = tuple(out)
+    return table

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+from oracles import is_derivation
 from rinehart.algebra import (AModule, FiniteAlgebra, atiyah_object, derivation_space,
-                              endomorphism_space, is_derivation, matrix_from_flat,
-                              regular_module, validate_algebra)
+                              endomorphism_space, matrix_from_flat, regular_module,
+                              validate_algebra)
 from rinehart.fields import GF, QQ
 from rinehart.linalg import Matrix
 

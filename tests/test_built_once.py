@@ -1,9 +1,11 @@
 """Each artifact of a request is built once: the kernel and image behind each
-cohomology group, the Lie-morphism check of a representation, and the
-validation of the algebra and of the extension."""
+cohomology group, the Lie-morphism check of a representation, the products
+of the regular module and the symbol commutators, and the validation of the
+algebra and of the extension."""
 
 import sys
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 from rinehart import algebroid, cli, complexes, extensions
@@ -72,6 +74,31 @@ def test_one_lie_morphism_loop_per_algebroid_and_representation(monkeypatch):
     assert code == 0, report
     assert report["validation"]["algebroid"] == report["validation"]["representation"] == []
     assert sorted(loops.values()) == [1]
+
+
+def test_one_product_per_regular_module_pair_and_symbol_commutator(monkeypatch):
+    from rinehart import linalg
+    calls = []
+    mul = linalg.Matrix.mul
+
+    def recorded(left, right):
+        calls.append((left, right))   # kept referenced, so identity cannot be reused
+        return mul(left, right)
+
+    monkeypatch.setattr(linalg.Matrix, "mul", recorded)
+    problem = parse(PROBLEMS / "fatpoint_rank2.json")
+    assert problem.module is None
+    report, code = cli.run("cohomology", problem)
+    assert code == 0, report
+    products = Counter((id(left), id(right)) for left, right in calls)
+    R = algebroid.anchor_representation(problem.algebroid)
+    act = R.module.action
+    assert len(act) > 1 and len(R.rho) > 1
+    for i, j in product(range(len(act)), repeat=2):
+        assert products[id(act[i]), id(act[j])] == 1, ("act_i act_j", i, j)
+    for i, b in product(range(len(R.rho)), range(len(act))):
+        assert products[id(R.rho[i]), id(act[b])] == 1, ("rho_i act_b", i, b)
+        assert products[id(act[b]), id(R.rho[i])] == 1, ("act_b rho_i", i, b)
 
 
 def test_each_validator_runs_once_per_request(monkeypatch):

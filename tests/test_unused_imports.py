@@ -1,9 +1,13 @@
-"""Every name a module of the engine imports is used in that module.
+"""Every name a module of the engine imports is used in that module, and
+every module-level private function or class is referenced somewhere in the
+engine outside its own definition.
 
-The package `__init__.py` is exempt: its imports are the re-exports.
+The package `__init__.py` is exempt from the import check: its imports are
+the re-exports.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rinehart"
@@ -68,3 +72,50 @@ def test_checker_flags_an_unused_import():
               "def f(m: 'Matrix'):\n"
               "    return json.dumps(m)\n")
     assert unused_imports(source) == [("rank", 3)]
+
+
+def referenced_names(node):
+    """The names node refers to: a read name, an attribute or an imported name."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (alias.name for alias in node.names)
+
+
+def private_orphans(sources: dict):
+    """(module, name) of each module-level _private function or class that no
+    node of the given sources refers to outside the definition itself."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    refs = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            for name in referenced_names(node):
+                refs[name].append(node)
+    out = []
+    for mod, tree in trees.items():
+        for d in tree.body:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and d.name.startswith("_") and not d.name.startswith("__"):
+                inside = {id(n) for n in ast.walk(d)}
+                if all(id(n) in inside for n in refs[d.name]):
+                    out.append((mod, d.name))
+    return out
+
+
+def test_engine_private_definitions_are_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert private_orphans(sources) == []
+
+
+def test_checker_flags_a_private_orphan():
+    sources = {"a.py": ("def _used():\n"
+                        "    return 1\n"
+                        "def _orphan():\n"
+                        "    return _orphan()\n"
+                        "class _Imported:\n"
+                        "    pass\n"),
+               "b.py": ("from .a import _Imported\n"
+                        "x = _used()\n")}
+    assert private_orphans(sources) == [("a.py", "_orphan")]
