@@ -12,13 +12,30 @@ k-Lie algebras.  The anchor makes A itself a representation of L, whose module
 is A's regular module (which checks the algebra axioms), so each anchor's
 Leibniz rule is that representation's symbol condition and the morphism check
 is its flatness check.
+
+The structure maps are A-multilinear up to anchor terms, so each defect is a
+tensor on the A-basis s_1..s_n, spread to the k-basis e_a s_i by products in
+A.  With B_ij = [s_i, s_j], S_ij = B_ij + B_ji, F the curvature of a
+representation R, Sigma its symbol defect and J_ijk the Jacobiator of
+(s_i, s_j, s_k):
+
+    [e_a s_i, e_a s_i] = e_a e_a B_ii,  [e_a s_i, e_b s_j] + [e_b s_j, e_a s_i] = e_a e_b S_ij
+    flatness at (e_a s_i, e_b s_j):  act_a act_b F_ij - act_a Sigma_ib R_j + act_b Sigma_ja R_i
+    J(e_a s_i, e_b s_j, e_c s_k) = e_a e_b e_c J_ijk
+                                   + sum_cyc (e_b e_c D_jk(e_a) s_i - e_b e_c a_j(e_a) S_ki)
+
+with D the curvature of the anchor representation.  The first holds over a
+commutative A, the second when R's module is also multiplicative, the third
+over a valid algebra with derivation anchors, which `validate_algebroid`
+checks first.  A representation whose module is not multiplicative is the
+one case left to the comparison of every k-basis pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .algebra import AModule, FiniteAlgebra, Violation, regular_module
 from .linalg import Matrix, Subspace, block_diagonal, combination, kernel_subspace
@@ -121,35 +138,143 @@ def build_bracket_tensor(L: LieRinehartAlgebroid) -> BracketTensor:
 
 
 def validate_algebroid(L: LieRinehartAlgebroid) -> list[Violation]:
-    """Antisymmetry, exhaustive Jacobi and anchor compatibility on the k-closure."""
+    """Antisymmetry, Jacobi and anchor compatibility of the k-closure, read
+    off tensors on the A-basis (see `_alternating_pairs`, `_jacobi_triples`
+    and `_failing_pairs`); each is exact once the algebra is valid and every
+    anchor is a derivation, which the early return guarantees."""
     out = []
     out.extend(Violation(f"algebra-{v.axiom}", v.indices, v.detail)
                for v in L.algebra.violations)
     A = anchor_representation(L)
-    symbol = _kept(L, A, _symbol_pairs)
+    symbol = _kept(L, A, _symbol_defects)
     out.extend(Violation("anchor-derivation", (i,)) for i in sorted({i for i, _ in symbol}))
     if out:
         return out
-    t = build_bracket_tensor(L)
-    size = L.kdim
-    for u in range(size):
-        if any(t.of_basis(u, u)):
-            out.append(Violation("alternating", (u,)))
-        for v in range(u + 1, size):
-            if any(x + y for x, y in zip(t.of_basis(u, v), t.of_basis(v, u))):
-                out.append(Violation("antisymmetry", (u, v)))
-    # [[b_x, b_y], b_z] = sum_s [b_x, b_y]_s [b_s, b_z], over the nonzero table entries
-    sparse = [[[(k, c) for k, c in enumerate(w) if c] for w in row] for row in t.table]
-    for x, y, z in combinations(range(size), 3):
-        jac = [L.field.zero] * size
-        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-            for s, c in sparse[p][q]:
-                for k, w in sparse[s][r]:
-                    jac[k] = jac[k] + c * w
-        if any(jac):
-            out.append(Violation("jacobi", (x, y, z)))
+    S = _symmetrised(L)
+    out.extend(Violation("alternating", (u,)) if u == v else Violation("antisymmetry", (u, v))
+               for u, v in _alternating_pairs(L, S))
+    out.extend(Violation("jacobi", t) for t in _jacobi_triples(L, S))
     out.extend(Violation("anchor-morphism", pair) for pair in _kept(L, A, _failing_pairs))
     return out
+
+
+def _times(act, x, y) -> tuple:
+    """The product x y of two elements of A, from the regular module's action
+    matrices act."""
+    out = [act[0].field.zero] * len(y)
+    for c, xc in enumerate(x):
+        if xc:
+            for t, w in enumerate(act[c].apply(y)):
+                if w:
+                    out[t] = out[t] + xc * w
+    return tuple(out)
+
+
+def _symmetrised(L: LieRinehartAlgebroid) -> dict:
+    """S_ij = B_ij + B_ji at each i <= j where it is nonzero, as n coefficients in A."""
+    B = L.bracket
+    out = {}
+    for i, j in combinations_with_replacement(range(L.n), 2):
+        S = [tuple(x + y if y else x for x, y in zip(u, v)) for u, v in zip(B[i][j], B[j][i])]
+        if any(map(any, S)):
+            out[i, j] = S
+    return out
+
+
+def _alternating_pairs(L: LieRinehartAlgebroid, S: dict) -> list:
+    """The pairs (u, u) with [b_u, b_u] != 0 and u < v with [b_u, b_v] + [b_v, b_u]
+    != 0, sorted.  The Leibniz terms cancel, so at u = e_a s_i, v = e_b s_j
+    these are e_a e_a B_ii and e_a e_b S_ij, over a commutative A."""
+    mult, act = L.algebra.mult, anchor_representation(L).module.action
+
+    def kills(a, b, coeffs):
+        return not any(any(_times(act, mult[a][b], c)) for c in coeffs if any(c))
+
+    out = [(L.kindex(i, a),) * 2 for i in range(L.n) for a in range(L.m)
+           if not kills(a, a, L.bracket[i][i])]
+    out.extend((L.kindex(i, a), L.kindex(j, b)) for (i, j), Sij in S.items()
+               for a, b in product(range(L.m), repeat=2) if (i < j or a < b)
+               and not kills(a, b, Sij))
+    return sorted(out)
+
+
+def _jacobi_triples(L: LieRinehartAlgebroid, S: dict) -> list:
+    """The k-basis triples u < v < w whose Jacobiator is nonzero, in
+    `combinations` order.  With J_ijk the Jacobiator of (s_i, s_j, s_k), D the
+    curvature of the anchor representation and S_ij = B_ij + B_ji,
+
+        J(e_a s_i, e_b s_j, e_c s_k) = e_a e_b e_c J_ijk
+            + sum_cyc (e_b e_c D_jk(e_a) s_i - e_b e_c a_j(e_a) S_ki),
+
+    exact over a valid algebra with derivation anchors.  Only blocks i <= j <= k
+    where one of these tensors is nonzero are expanded."""
+    n, m, z = L.n, L.m, L.field.zero
+    mult, anchors, B = L.algebra.mult, L.anchors, L.bracket
+    A = anchor_representation(L)
+    act = A.module.action
+    no_S = [(z,) * m] * n
+    D = dict(_kept(L, A, _curvatures))
+    for i, j in combinations(range(n), 2):
+        if (i, j) in S or (i, j) in D:
+            # D_ji = a(S_ij) - D_ij, so no product is formed twice
+            Dji = A.rho_of_vector(L, _flat(S.get((i, j), no_S)))
+            Dji = Dji.sub(D[i, j]) if (i, j) in D else Dji
+            if not Dji.is_zero():
+                D[j, i] = Dji
+    nonzero = [[[(l, c) for l, c in enumerate(B[i][j]) if any(c)] for j in range(n)]
+               for i in range(n)]
+
+    def jacobiator(i, j, k):
+        out = [[z] * m for _ in range(n)]
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, c in nonzero[p][q]:
+                for t, w in nonzero[l][r]:
+                    _add(out[t], _times(act, c, w))
+                _add(out[l], anchors[r].apply(c), -1)
+        return out
+
+    out = []
+    for i, j, k in combinations_with_replacement(range(n), 3):
+        if len({i, j, k}) + m < 4:
+            continue        # no triple u < v < w in this block
+        J = jacobiator(i, j, k)
+        Ds = [D.get(pq) for pq in ((j, k), (k, i), (i, j))]
+        Ss = [S.get(pq) for pq in ((i, k), (i, j), (j, k))]
+        if not any(map(any, J)) and Ds == [None] * 3 and Ss == [None] * 3:
+            continue
+        Ss = [no_S if s is None else s for s in Ss]
+        for a, b, c in product(range(m), repeat=3):
+            if (i == j and a >= b) or (j == k and b >= c):
+                continue
+            e = (a, b, c)
+            val = [[z] * m for _ in range(n)]
+            abc = act[c].apply(mult[a][b])
+            for l in range(n):
+                _add(val[l], _times(act, abc, J[l]))
+            for t, (slot, x) in enumerate(zip((i, j, k), e)):
+                # the cyclic term at slot t: y = e_b e_c for (a, b, c) rotated
+                y = mult[e[(t + 1) % 3]][e[(t + 2) % 3]]
+                if Ds[t] is not None:
+                    _add(val[slot], _times(act, y, Ds[t].column(x)))
+                coeff = _times(act, y, anchors[(j, k, i)[t]].column(x))
+                if any(coeff):
+                    for l in range(n):
+                        _add(val[l], _times(act, coeff, Ss[t][l]), -1)
+            if any(map(any, val)):
+                out.append((L.kindex(i, a), L.kindex(j, b), L.kindex(k, c)))
+    return sorted(out)
+
+
+def _add(acc: list, v, sign=1):
+    """acc += sign * v, entrywise, in place."""
+    for t, x in enumerate(v):
+        if x:
+            acc[t] = acc[t] + x if sign == 1 else acc[t] - x
+
+
+def _flat(coeffs) -> tuple:
+    """n coefficients in A as one k-vector on the basis e_a s_l."""
+    return tuple(x for c in coeffs for x in c)
 
 
 @dataclass
@@ -187,8 +312,59 @@ def anchor_representation(L: LieRinehartAlgebroid) -> Representation:
     return L._anchor_rep
 
 
+def _curvatures(L: LieRinehartAlgebroid, R: Representation) -> dict:
+    """F_ij = R([s_i, s_j]) - [R(s_i), R(s_j)] at each i <= j where it is nonzero."""
+    N = R.module.dim
+    out = {}
+    for i, j in combinations_with_replacement(range(L.n), 2):
+        B = L.bracket[i][j]
+        F = R.rho_of_vector(L, _flat(B)) if any(map(any, B)) else Matrix.zero(L.field, N, N)
+        if i < j:
+            F = F.sub(R.rho[i].mul(R.rho[j]).sub(R.rho[j].mul(R.rho[i])))
+        if not F.is_zero():
+            out[i, j] = F
+    return out
+
+
 def _failing_pairs(L: LieRinehartAlgebroid, R: Representation) -> list:
-    """The k-basis pairs u < v with R([b_u, b_v]) != [R(b_u), R(b_v)]."""
+    """The k-basis pairs u < v with R([b_u, b_v]) != [R(b_u), R(b_v)].
+
+    When A is commutative and R's module is multiplicative, the defect at
+    (e_a s_i, e_b s_j) is act_a act_b F_ij - act_a Sigma_ib R_j + act_b Sigma_ja R_i,
+    with F the curvature and Sigma the symbol defect, so only the blocks i <= j
+    where one of these is nonzero are expanded.  Otherwise every pair is
+    compared on the k-closure."""
+    f, mod, mult = L.field, R.module, L.algebra.mult
+    if any(mult[a][b] != mult[b][a] for a, b in combinations(range(L.m), 2)) or \
+            any(not d.is_zero() for _, d in mod.multiplicativity_defects):
+        return _k_pair_loop(L, R)
+    # act_c F_ij for every c, and act_a Sigma_ib R_j for every a
+    curv = {ij: [act.mul(F) for act in mod.action] for ij, F in _kept(L, R, _curvatures).items()}
+    twisted = {}
+    for (i, b), sigma in _kept(L, R, _symbol_defects).items():
+        for j, r in enumerate(R.rho):
+            p = sigma.mul(r)
+            if not p.is_zero():
+                twisted[i, b, j] = [act.mul(p) for act in mod.action]
+    blocks = set(curv) | {tuple(sorted((i, j))) for i, _, j in twisted}
+    N = mod.dim
+    out = []
+    for i, j in blocks:
+        for a, b in product(range(L.m), repeat=2):
+            if i == j and a >= b:
+                continue
+            terms = list(zip(mult[a][b], curv.get((i, j), ())))
+            if (i, b, j) in twisted:
+                terms.append((-f.one, twisted[i, b, j][a]))
+            if (j, a, i) in twisted:
+                terms.append((f.one, twisted[j, a, i][b]))
+            if not combination(f, N, N, terms).is_zero():
+                out.append((L.kindex(i, a), L.kindex(j, b)))
+    return sorted(out)
+
+
+def _k_pair_loop(L: LieRinehartAlgebroid, R: Representation) -> list:
+    """_failing_pairs by comparing every pair u < v on the k-closure."""
     t = build_bracket_tensor(L)
     hats = R.basis_actions
     out = []
@@ -199,17 +375,21 @@ def _failing_pairs(L: LieRinehartAlgebroid, R: Representation) -> list:
     return out
 
 
-def _symbol_pairs(L: LieRinehartAlgebroid, R: Representation) -> list:
-    """The pairs (i, b) with [R(s_i), act_b] != act(a(s_i)(e_b)); the product
-    act_b R(s_i) is the action of e_b s_i in R.basis_actions."""
+def _symbol_defects(L: LieRinehartAlgebroid, R: Representation) -> dict:
+    """Sigma_ib = [R(s_i), act_b] - act(a(s_i)(e_b)) at each (i, b) where it is
+    nonzero; the product act_b R(s_i) is the action of e_b s_i in R.basis_actions."""
     mod = R.module
     hats = R.basis_actions
-    return [(i, b) for i, b in product(range(L.n), range(L.m))
-            if R.rho[i].mul(mod.action[b]).sub(hats[L.kindex(i, b)])
-            != mod.act_vec(L.anchors[i].column(b))]
+    out = {}
+    for i, b in product(range(L.n), range(L.m)):
+        comm = R.rho[i].mul(mod.action[b]).sub(hats[L.kindex(i, b)])
+        symbol = mod.act_vec(L.anchors[i].column(b))
+        if comm != symbol:
+            out[i, b] = comm.sub(symbol)
+    return out
 
 
-def _kept(L: LieRinehartAlgebroid, R: Representation, find) -> list:
+def _kept(L: LieRinehartAlgebroid, R: Representation, find):
     """find(L, R), run once per (L, R) and kept on R."""
     if (find, L) not in R._failing:
         R._failing[find, L] = find(L, R)
@@ -221,7 +401,7 @@ def validate_representation(L: LieRinehartAlgebroid, R: Representation) -> list[
     out = [Violation(f"module-{v.axiom}", v.indices, v.detail) for v in R.module.validate()]
     if len(R.rho) != L.n:
         return out + [Violation("rho-shape", (len(R.rho), L.n))]
-    out.extend(Violation("symbol", pair) for pair in _kept(L, R, _symbol_pairs))
+    out.extend(Violation("symbol", pair) for pair in _kept(L, R, _symbol_defects))
     return out + [Violation("flatness", pair) for pair in _kept(L, R, _failing_pairs)]
 
 

@@ -9,7 +9,9 @@ one exception: it evaluates the E_infinity formula with the engine's subspace
 calculus, straight from the cocycles and coboundaries of the complex, without
 going through any page.  The algebra product is evaluated here by dense loops
 over the structure constants (`mul_vec`), where the engine reads it off the
-regular module and the anchor representation.
+regular module and the anchor representation.  The algebroid axioms are
+checked here on every k-basis pair and triple of the bracket's k-bilinear
+closure, where the engine reads tensors on the A-basis.
 """
 
 from fractions import Fraction
@@ -258,3 +260,50 @@ def bracket_table(L):
             out[i * m + t] = out[i * m + t] - x
         table[i * m + a][j * m + b] = tuple(out)
     return table
+
+
+# -- exhaustive reference for the algebroid axioms, on every k-basis pair and triple --
+
+def alternating_violations(L, table):
+    """(axiom, indices) of each u with [b_u, b_u] != 0 and each u < v with
+    [b_u, b_v] + [b_v, b_u] != 0, in the order of the loop over u, v; table is
+    bracket_table(L)."""
+    out = []
+    for u in range(L.kdim):
+        if any(table[u][u]):
+            out.append(("alternating", (u,)))
+        for v in range(u + 1, L.kdim):
+            if any(x + y for x, y in zip(table[u][v], table[v][u])):
+                out.append(("antisymmetry", (u, v)))
+    return out
+
+
+def jacobi_triples(L, table):
+    """The triples u < v < w with [[b_u, b_v], b_w] + [[b_v, b_w], b_u] +
+    [[b_w, b_u], b_v] != 0, expanded densely over table = bracket_table(L)."""
+    size, zero = L.kdim, L.field.zero
+    out = []
+    for x, y, z in combinations(range(size), 3):
+        jac = [zero] * size
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+            for s, c in enumerate(table[p][q]):
+                for k, w in enumerate(table[s][r]):
+                    jac[k] = jac[k] + c * w
+        if any(jac):
+            out.append((x, y, z))
+    return out
+
+
+def failing_pairs(L, R, table):
+    """The pairs u < v with R([b_u, b_v]) != [R(b_u), R(b_v)], where R(e_a s_i)
+    is act(e_a) R(s_i), all as dense matrices; table is bracket_table(L)."""
+    N, zero = R.module.dim, L.field.zero
+    acts = [m.entries for m in R.module.action]
+    hats = [dense_mul(acts[a], r.entries, N, zero) for r in R.rho for a in range(L.m)]
+
+    def rho(vec):
+        return dense_combination(zip(vec, hats), N, N, zero)
+
+    return [(u, v) for u, v in combinations(range(L.kdim), 2)
+            if rho(table[u][v]) != dense_sub(dense_mul(hats[u], hats[v], N, zero),
+                                             dense_mul(hats[v], hats[u], N, zero))]

@@ -1,7 +1,8 @@
 """Each artifact of a request is built once: the kernel and image behind each
 cohomology group, the Lie-morphism check of a representation, the products
 of the regular module and the symbol commutators, and the validation of the
-algebra and of the extension."""
+algebra and of the extension.  Validating an algebroid forms no k-closure of
+its bracket and a number of matrix products set by the A-basis."""
 
 import sys
 from collections import Counter
@@ -9,7 +10,11 @@ from itertools import product
 from pathlib import Path
 
 from rinehart import algebroid, cli, complexes, extensions
-from rinehart.problems import parse
+from rinehart.algebra import FiniteAlgebra
+from rinehart.algebroid import LieRinehartAlgebroid
+from rinehart.fields import QQ
+from rinehart.linalg import Matrix
+from rinehart.problems import ProblemFile, parse
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -125,3 +130,48 @@ def test_pages_past_the_bound_reuse_the_limit_page(monkeypatch):
     assert code == 0, report
     assert sorted(report["results"]["pages"], key=int) == [str(r) for r in range(1, 7)]
     assert len(pages) == 3
+
+
+def test_validation_forms_no_k_closure(monkeypatch):
+    tensors = []
+    patch_everywhere(monkeypatch, algebroid, "build_bracket_tensor", recording(tensors))
+    report, code = cli.run("cohomology", parse(PROBLEMS / "fatpoint_rank2.json"))
+    assert code == 0, report
+    assert tensors == []
+
+
+def fat_point(j, rank):
+    """A = k[x]/(x^j) over Q; a(s_1) = x d/dx, a(s_i) = 0 and [s_1, s_i] = s_i
+    for i > 1."""
+    f = QQ
+    e = [tuple(f.one if t == c else f.zero for t in range(j)) for c in range(j)]
+    zero = tuple(f.zero for _ in range(j))
+    alg = FiniteAlgebra(f, j, [[e[a + b] if a + b < j else zero for b in range(j)]
+                               for a in range(j)], e[0])
+    x_ddx = Matrix.from_rows(f, [[f.from_int(a) if a == b else f.zero for b in range(j)]
+                                 for a in range(j)])
+    bracket = [[[zero] * rank for _ in range(rank)] for _ in range(rank)]
+    for i in range(1, rank):
+        bracket[0][i] = [e[0] if t == i else zero for t in range(rank)]
+        bracket[i][0] = [tuple(-x for x in e[0]) if t == i else zero for t in range(rank)]
+    L = LieRinehartAlgebroid(alg, rank, [x_ddx] + [Matrix.zero(f, j, j)] * (rank - 1), bracket)
+    return ProblemFile(f, alg, L)
+
+
+def products_in_validation(monkeypatch, problem):
+    from rinehart import linalg
+    calls = []
+    monkeypatch.setattr(linalg.Matrix, "mul", recording(calls)(linalg.Matrix.mul))
+    validation = cli._validate_all(problem)
+    assert all(not v for v in validation.values()), validation
+    return len(calls)
+
+
+def test_validation_products_over_a_fat_point(monkeypatch):
+    # comparing every pair of the 18 k-basis elements e_a s_i takes 378 products
+    assert products_in_validation(monkeypatch, fat_point(6, 3)) <= 378 // 2
+
+
+def test_validation_products_over_the_base_field(monkeypatch):
+    # m = 1: the k-basis is the A-basis, so there is nothing to save
+    assert products_in_validation(monkeypatch, parse(PROBLEMS / "sl2_adjoint.json")) <= 26
