@@ -24,8 +24,8 @@ prod, _ = Uf.mul_mono((0, (1,)), (1, (0,)))
 print("fat point, s*x      :", {k: str(v) for k, v in prod.items()},
       " (= x s + x, the anchor relation)")
 eps = augmentation(Uf)
-print("augmentation of x   :", [str(v) for v in
-                                eps.apply(Uf.to_vector(Uf.coefficient((Lf.field.zero, Lf.field.one))))])
+x_image = eps.apply(Uf.to_vector(Uf.coefficient(((1, Lf.field.one),))))
+print("augmentation of x   :", {j: str(v) for j, v in x_image}, " (nonzero coordinates)")
 
 print("\nresolution exactness by total-degree level (cutoff 3):")
 for entry in catalog.positive_entries():

@@ -17,10 +17,10 @@ from rinehart.linalg import Matrix, Subspace
 c = CochainComplex(QQ, [1, 2, 1],
                    [Matrix.zero(QQ, 2, 1),
                     Matrix.from_rows(QQ, [[Fraction(-1), Fraction(0)]])])
-one, zero = Fraction(1), Fraction(0)
+one = Fraction(1)
 filt = [
     [Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
-    [Subspace.full(QQ, 2), Subspace(QQ, 2, [(zero, one)]), Subspace.zero(QQ, 2)],
+    [Subspace.full(QQ, 2), Subspace(QQ, 2, [((1, one),)]), Subspace.zero(QQ, 2)],
     [Subspace.full(QQ, 1), Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
 ]
 fc = FilteredComplex(c, filt)

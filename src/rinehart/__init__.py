@@ -16,8 +16,7 @@ from .algebroid import (BracketTensor, LieRinehartAlgebroid, Representation,
                         anchor_representation, build_bracket_tensor, invariants,
                         trivial_representation, validate_algebroid,
                         validate_representation)
-from .cecomplex import (CEComplex, RepComplex, ce_cohomology, ce_complex,
-                        ce_dims, total_complex)
+from .cecomplex import CEComplex, RepComplex, ce_complex, ce_dims, total_complex
 from .complexes import (CochainComplex, Cohomology, EdgeMaps, FilteredComplex,
                         SpectralPage, edge_maps, spectral_pages, total_cohomology_dims)
 from .enveloping import (RinehartComplex, TruncatedEnveloping, augmentation,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .linalg import Matrix, Subspace, add_entry, combination, kernel_subspace
+from .linalg import (Matrix, Subspace, add_entry, combination, dense_to_sparse, kernel_subspace,
+                     sub_vector)
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,13 @@ class FiniteAlgebra:
                     raise ValueError("mult entries must be coordinate vectors of length dim")
         if len(self.unit) != dim:
             raise ValueError("unit vector of wrong length")
+        # the same constants as sparse vectors, for everything that computes with them
+        self.sparse_mult = [[dense_to_sparse(v) for v in row] for row in self.mult]
+        self.sparse_unit = dense_to_sparse(self.unit)
         self._regular = None
 
     def basis_vector(self, i):
-        return tuple(self.field.one if t == i else self.field.zero for t in range(self.dim))
+        return ((i, self.field.one),)
 
     @cached_property
     def violations(self) -> tuple:
@@ -73,7 +77,9 @@ def _nonzero_columns(m: Matrix) -> list:
 
 
 def matrix_from_flat(field, flat, rows, cols) -> Matrix:
-    return Matrix.from_rows(field, [flat[r * cols:(r + 1) * cols] for r in range(rows)])
+    """The rows x cols matrix flattened row by row into the sparse vector flat."""
+    return Matrix(field, rows, cols, tuple(sub_vector(flat, r * cols, (r + 1) * cols)
+                                           for r in range(rows)))
 
 
 def _leibniz_rows(a: FiniteAlgebra, offset=0) -> list:
@@ -135,18 +141,19 @@ class AModule:
                 raise ValueError("action matrix of wrong shape")
 
     def act_vec(self, f) -> Matrix:
-        """Action matrix of the algebra element with coordinates f."""
-        return combination(self.field, self.dim, self.dim, zip(f, self.action))
+        """Action matrix of the algebra element with sparse coordinates f."""
+        act = self.action
+        return combination(self.field, self.dim, self.dim, ((x, act[c]) for c, x in f))
 
     @cached_property
     def unit_defect(self) -> Matrix:
         """act(1) - I."""
-        return self.act_vec(self.algebra.unit).sub(Matrix.identity(self.field, self.dim))
+        return self.act_vec(self.algebra.sparse_unit).sub(Matrix.identity(self.field, self.dim))
 
     @cached_property
     def multiplicativity_defects(self) -> list:
         """((i, j), act_i act_j - act(e_i e_j)) for every basis pair, row-major."""
-        mult = self.algebra.mult
+        mult = self.algebra.sparse_mult
         return [((i, j), ai.mul(aj).sub(self.act_vec(mult[i][j])))
                 for i, ai in enumerate(self.action) for j, aj in enumerate(self.action)]
 
@@ -161,7 +168,7 @@ def regular_module(a: FiniteAlgebra) -> AModule:
     action matrix of e_i has the columns mult[i][j]."""
     if a._regular is None:
         a._regular = AModule(a, a.dim, [Matrix.from_columns(a.field, a.dim, row)
-                                        for row in a.mult])
+                                        for row in a.sparse_mult])
     return a._regular
 
 
@@ -214,9 +221,9 @@ def atiyah_object(a: FiniteAlgebra, mod: AModule) -> AtiyahObject:
     # Dbar Leibniz
     rows.extend(_leibniz_rows(a, nn))
     space = kernel_subspace(Matrix.from_dicts(f, unknowns, rows))
-    symbol_image = Subspace.span(f, m * m, [v[nn:] for v in space.basis])
+    symbol_image = Subspace.span(f, m * m, [sub_vector(v, nn, unknowns) for v in space.basis])
     # zero-symbol slice of the solution space, projected to the operator block
     sym = Matrix(f, m * m, unknowns, tuple(((nn + t, f.one),) for t in range(m * m)))
     zero_symbol = kernel_subspace(sym).intersect(space)
-    kernel = Subspace.span(f, nn, [v[:nn] for v in zero_symbol.basis])
+    kernel = Subspace.span(f, nn, [sub_vector(v, 0, nn) for v in zero_symbol.basis])
     return AtiyahObject(space, symbol_image, kernel, endomorphism_space(mod), derivation_space(a))

@@ -38,7 +38,8 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 
 from .algebra import AModule, FiniteAlgebra, Violation, regular_module
-from .linalg import Matrix, Subspace, block_diagonal, combination, kernel_subspace
+from .linalg import (Matrix, Subspace, block_diagonal, combination, dense_to_sparse,
+                     dict_to_sparse, kernel_subspace)
 
 
 class LieRinehartAlgebroid:
@@ -61,6 +62,12 @@ class LieRinehartAlgebroid:
             for row in plane:
                 if len(row) != rank or any(len(v) != self.m for v in row):
                     raise ValueError("bracket entries must be rank x dim coefficient arrays")
+        # bracket_terms[i, j]: the nonzero (l, B_ij^l) of [s_i, s_j], B_ij^l a sparse
+        # vector in A; every reader of the bracket walks this table
+        self.bracket_terms = {(i, j): tuple((l, dense_to_sparse(v)) for l, v in enumerate(row)
+                                            if any(v))
+                              for i, plane in enumerate(self.bracket)
+                              for j, row in enumerate(plane)}
         self._tensor = None
         self._anchor_rep = None
 
@@ -73,7 +80,11 @@ class LieRinehartAlgebroid:
         return i * self.m + a
 
     def k_to_acoords(self, v):
-        return [tuple(v[i * self.m:(i + 1) * self.m]) for i in range(self.n)]
+        """The A-coordinates of the sparse k-vector v: n dense tuples of length m."""
+        out = [[self.field.zero] * self.m for _ in range(self.n)]
+        for j, x in v:
+            out[j // self.m][j % self.m] = x
+        return [tuple(c) for c in out]
 
     def algebra_action_on_sections(self, b) -> Matrix:
         """Multiplication by e_b on L in k-coordinates (block diagonal)."""
@@ -82,7 +93,8 @@ class LieRinehartAlgebroid:
 
 @dataclass
 class BracketTensor:
-    """The k-bilinear closure of the bracket: table[u][v] is [b_u, b_v] in k-coordinates."""
+    """The k-bilinear closure of the bracket: table[u][v] is [b_u, b_v] as a
+    sparse vector in k-coordinates."""
     field: object
     dim: int
     table: list
@@ -91,19 +103,12 @@ class BracketTensor:
         return self.table[u][v]
 
     def of_vectors(self, x, y):
-        z = self.field.zero
-        out = [z] * self.dim
-        for u, xu in enumerate(x):
-            if not xu:
-                continue
-            for v, yv in enumerate(y):
-                if not yv:
-                    continue
-                c = xu * yv
-                for t, w in enumerate(self.table[u][v]):
-                    if w:
-                        out[t] = out[t] + c * w
-        return tuple(out)
+        """[x, y] for sparse k-vectors x and y."""
+        out = {}
+        for u, xu in x:
+            for v, yv in y:
+                _add(out, self.table[u][v], xu * yv)
+        return dict_to_sparse(out)
 
 
 def build_bracket_tensor(L: LieRinehartAlgebroid) -> BracketTensor:
@@ -115,25 +120,20 @@ def build_bracket_tensor(L: LieRinehartAlgebroid) -> BracketTensor:
     """
     if L._tensor is not None:
         return L._tensor
-    f = L.field
     A = anchor_representation(L)
-    prods = [[A.module.act_vec(ab) for ab in row] for row in L.algebra.mult]
+    prods = [[A.module.act_vec(ab) for ab in row] for row in L.algebra.sparse_mult]
     leibniz = [hat.transpose().data for hat in A.basis_actions]   # column b: e_a a(s_i)(e_b)
     size = L.kdim
     table = [[None] * size for _ in range(size)]
     for i, a, j, b in product(range(L.n), range(L.m), range(L.n), range(L.m)):
-        out = [f.zero] * size
-        for l in range(L.n):
-            for t, c in enumerate(prods[a][b].apply(L.bracket[i][j][l])):
-                if c:
-                    out[L.kindex(l, t)] = out[L.kindex(l, t)] + c
+        out = {}
+        for l, x in L.bracket_terms[i, j]:
+            _add(out, ((L.kindex(l, t), c) for t, c in prods[a][b].apply(x)))
         # + e_a a(s_i)(e_b) s_j  -  e_b a(s_j)(e_a) s_i
-        for t, c in leibniz[L.kindex(i, a)][b]:
-            out[L.kindex(j, t)] = out[L.kindex(j, t)] + c
-        for t, c in leibniz[L.kindex(j, b)][a]:
-            out[L.kindex(i, t)] = out[L.kindex(i, t)] - c
-        table[L.kindex(i, a)][L.kindex(j, b)] = tuple(out)
-    L._tensor = BracketTensor(f, size, table)
+        _add(out, ((L.kindex(j, t), c) for t, c in leibniz[L.kindex(i, a)][b]))
+        _add(out, ((L.kindex(i, t), c) for t, c in leibniz[L.kindex(j, b)][a]), -L.field.one)
+        table[L.kindex(i, a)][L.kindex(j, b)] = dict_to_sparse(out)
+    L._tensor = BracketTensor(L.field, size, table)
     return L._tensor
 
 
@@ -159,24 +159,28 @@ def validate_algebroid(L: LieRinehartAlgebroid) -> list[Violation]:
 
 
 def _times(act, x, y) -> tuple:
-    """The product x y of two elements of A, from the regular module's action
-    matrices act."""
-    out = [act[0].field.zero] * len(y)
-    for c, xc in enumerate(x):
-        if xc:
-            for t, w in enumerate(act[c].apply(y)):
-                if w:
-                    out[t] = out[t] + xc * w
-    return tuple(out)
+    """The product x y of two sparse elements of A, from the regular module's
+    action matrices act."""
+    out = {}
+    if y:
+        for c, xc in x:
+            _add(out, act[c].apply(y), xc)
+    return dict_to_sparse(out)
 
 
 def _symmetrised(L: LieRinehartAlgebroid) -> dict:
-    """S_ij = B_ij + B_ji at each i <= j where it is nonzero, as n coefficients in A."""
-    B = L.bracket
+    """S_ij = B_ij + B_ji at each i <= j where it is nonzero, as n sparse coefficients in A."""
+    B = L.bracket_terms
     out = {}
     for i, j in combinations_with_replacement(range(L.n), 2):
-        S = [tuple(x + y if y else x for x, y in zip(u, v)) for u, v in zip(B[i][j], B[j][i])]
-        if any(map(any, S)):
+        terms = B[i, j] + B[j, i]
+        if not terms:
+            continue
+        acc = [{} for _ in range(L.n)]
+        for l, c in terms:
+            _add(acc[l], c)
+        S = [dict_to_sparse(a) for a in acc]
+        if any(S):
             out[i, j] = S
     return out
 
@@ -185,13 +189,13 @@ def _alternating_pairs(L: LieRinehartAlgebroid, S: dict) -> list:
     """The pairs (u, u) with [b_u, b_u] != 0 and u < v with [b_u, b_v] + [b_v, b_u]
     != 0, sorted.  The Leibniz terms cancel, so at u = e_a s_i, v = e_b s_j
     these are e_a e_a B_ii and e_a e_b S_ij, over a commutative A."""
-    mult, act = L.algebra.mult, anchor_representation(L).module.action
+    mult, act = L.algebra.sparse_mult, anchor_representation(L).module.action
 
     def kills(a, b, coeffs):
-        return not any(any(_times(act, mult[a][b], c)) for c in coeffs if any(c))
+        return not any(_times(act, mult[a][b], c) for c in coeffs)
 
     out = [(L.kindex(i, a),) * 2 for i in range(L.n) for a in range(L.m)
-           if not kills(a, a, L.bracket[i][i])]
+           if not kills(a, a, [c for _, c in L.bracket_terms[i, i]])]
     out.extend((L.kindex(i, a), L.kindex(j, b)) for (i, j), Sij in S.items()
                for a, b in product(range(L.m), repeat=2) if (i < j or a < b)
                and not kills(a, b, Sij))
@@ -208,30 +212,29 @@ def _jacobi_triples(L: LieRinehartAlgebroid, S: dict) -> list:
 
     exact over a valid algebra with derivation anchors.  Only blocks i <= j <= k
     where one of these tensors is nonzero are expanded."""
-    n, m, z = L.n, L.m, L.field.zero
-    mult, anchors, B = L.algebra.mult, L.anchors, L.bracket
+    n, m = L.n, L.m
+    mult, anchors, B = L.algebra.sparse_mult, L.anchors, L.bracket_terms
     A = anchor_representation(L)
     act = A.module.action
-    no_S = [(z,) * m] * n
+    minus = -L.field.one
+    no_S = [()] * n
     D = dict(_kept(L, A, _curvatures))
     for i, j in combinations(range(n), 2):
         if (i, j) in S or (i, j) in D:
             # D_ji = a(S_ij) - D_ij, so no product is formed twice
-            Dji = A.rho_of_vector(L, _flat(S.get((i, j), no_S)))
+            Dji = A.rho_of_vector(L, _flat(m, enumerate(S.get((i, j), no_S))))
             Dji = Dji.sub(D[i, j]) if (i, j) in D else Dji
             if not Dji.is_zero():
                 D[j, i] = Dji
-    nonzero = [[[(l, c) for l, c in enumerate(B[i][j]) if any(c)] for j in range(n)]
-               for i in range(n)]
 
     def jacobiator(i, j, k):
-        out = [[z] * m for _ in range(n)]
+        out = [{} for _ in range(n)]
         for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, c in nonzero[p][q]:
-                for t, w in nonzero[l][r]:
+            for l, c in B[p, q]:
+                for t, w in B[l, r]:
                     _add(out[t], _times(act, c, w))
-                _add(out[l], anchors[r].apply(c), -1)
-        return out
+                _add(out[l], anchors[r].apply(c), minus)
+        return [dict_to_sparse(acc) if acc else () for acc in out]
 
     out = []
     for i, j, k in combinations_with_replacement(range(n), 3):
@@ -240,14 +243,14 @@ def _jacobi_triples(L: LieRinehartAlgebroid, S: dict) -> list:
         J = jacobiator(i, j, k)
         Ds = [D.get(pq) for pq in ((j, k), (k, i), (i, j))]
         Ss = [S.get(pq) for pq in ((i, k), (i, j), (j, k))]
-        if not any(map(any, J)) and Ds == [None] * 3 and Ss == [None] * 3:
+        if not any(J) and Ds == [None] * 3 and Ss == [None] * 3:
             continue
         Ss = [no_S if s is None else s for s in Ss]
         for a, b, c in product(range(m), repeat=3):
             if (i == j and a >= b) or (j == k and b >= c):
                 continue
             e = (a, b, c)
-            val = [[z] * m for _ in range(n)]
+            val = [{} for _ in range(n)]
             abc = act[c].apply(mult[a][b])
             for l in range(n):
                 _add(val[l], _times(act, abc, J[l]))
@@ -257,24 +260,26 @@ def _jacobi_triples(L: LieRinehartAlgebroid, S: dict) -> list:
                 if Ds[t] is not None:
                     _add(val[slot], _times(act, y, Ds[t].column(x)))
                 coeff = _times(act, y, anchors[(j, k, i)[t]].column(x))
-                if any(coeff):
+                if coeff:
                     for l in range(n):
-                        _add(val[l], _times(act, coeff, Ss[t][l]), -1)
-            if any(map(any, val)):
+                        _add(val[l], _times(act, coeff, Ss[t][l]), minus)
+            if any(map(dict_to_sparse, val)):
                 out.append((L.kindex(i, a), L.kindex(j, b), L.kindex(k, c)))
     return sorted(out)
 
 
-def _add(acc: list, v, sign=1):
-    """acc += sign * v, entrywise, in place."""
-    for t, x in enumerate(v):
-        if x:
-            acc[t] = acc[t] + x if sign == 1 else acc[t] - x
+def _add(acc: dict, v, scale=None):
+    """acc += scale * v in place, for a sparse v and an accumulator {index: value}."""
+    for t, x in v:
+        if scale is not None:
+            x = scale * x
+        acc[t] = acc[t] + x if t in acc else x
 
 
-def _flat(coeffs) -> tuple:
-    """n coefficients in A as one k-vector on the basis e_a s_l."""
-    return tuple(x for c in coeffs for x in c)
+def _flat(m, coeffs) -> tuple:
+    """The (l, c) pairs of coeffs, c a sparse element of A, as one sparse k-vector
+    on the basis e_a s_l."""
+    return tuple((l * m + t, x) for l, c in coeffs for t, x in c)
 
 
 @dataclass
@@ -282,7 +287,7 @@ class Representation:
     """An A-module M with an action of L by scalar-symbol operators."""
     module: AModule
     rho: list   # one dim x dim Matrix per basis section of L
-    _failing: dict = dfield(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = dfield(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def basis_actions(self) -> list:
@@ -291,8 +296,10 @@ class Representation:
         return [act.mul(r) for r in self.rho for act in self.module.action]
 
     def rho_of_vector(self, L: LieRinehartAlgebroid, v) -> Matrix:
+        """The action of the sparse k-vector v of L."""
         N = self.module.dim
-        return combination(self.module.field, N, N, zip(v, self.basis_actions))
+        hats = self.basis_actions
+        return combination(self.module.field, N, N, ((x, hats[u]) for u, x in v))
 
 
 def trivial_representation(L: LieRinehartAlgebroid) -> Representation:
@@ -317,8 +324,8 @@ def _curvatures(L: LieRinehartAlgebroid, R: Representation) -> dict:
     N = R.module.dim
     out = {}
     for i, j in combinations_with_replacement(range(L.n), 2):
-        B = L.bracket[i][j]
-        F = R.rho_of_vector(L, _flat(B)) if any(map(any, B)) else Matrix.zero(L.field, N, N)
+        B = L.bracket_terms[i, j]
+        F = R.rho_of_vector(L, _flat(L.m, B)) if B else Matrix.zero(L.field, N, N)
         if i < j:
             F = F.sub(R.rho[i].mul(R.rho[j]).sub(R.rho[j].mul(R.rho[i])))
         if not F.is_zero():
@@ -391,9 +398,27 @@ def _symbol_defects(L: LieRinehartAlgebroid, R: Representation) -> dict:
 
 def _kept(L: LieRinehartAlgebroid, R: Representation, find):
     """find(L, R), run once per (L, R) and kept on R."""
-    if (find, L) not in R._failing:
-        R._failing[find, L] = find(L, R)
-    return R._failing[find, L]
+    if (find, L) not in R._memo:
+        R._memo[find, L] = find(L, R)
+    return R._memo[find, L]
+
+
+class BracketActions(dict):
+    """The action act(B_ij^l) on a module of each nonzero coefficient of
+    [s_i, s_j], keyed like L.bracket_terms and formed when (i, j) is first read."""
+
+    def __init__(self, L: LieRinehartAlgebroid, R: Representation):
+        super().__init__()
+        self.terms, self.act = L.bracket_terms, R.module.act_vec
+
+    def __missing__(self, ij):
+        out = self[ij] = tuple((l, self.act(x)) for l, x in self.terms[ij])
+        return out
+
+
+def bracket_actions(L: LieRinehartAlgebroid, R: Representation) -> BracketActions:
+    """The bracket coefficients of L acting on R's module, one table per (L, R)."""
+    return _kept(L, R, BracketActions)
 
 
 def validate_representation(L: LieRinehartAlgebroid, R: Representation) -> list[Violation]:

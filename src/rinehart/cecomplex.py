@@ -19,31 +19,37 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .algebroid import LieRinehartAlgebroid, Representation
-from .complexes import CochainComplex
+from .algebroid import LieRinehartAlgebroid, Representation, bracket_actions
+from .complexes import CochainComplex, total_cohomology_dims
 from .errors import ConstructionInconsistent, NotEquivariant
 from .linalg import Matrix, add_block
 
 
-def koszul_terms(bracket, T):
+def koszul_terms(terms, T):
     """Terms of the Koszul / CE differential on the wedge s_T of a tuple of basis indices.
+
+    terms[i, j] lists the (l, x) of the nonzero A-coefficients B_ij^l of
+    [s_i, s_j] on s_l: the table `L.bracket_terms`, or one keyed alike that
+    holds each coefficient's action on a module (`bracket_actions`).
 
     Yields (sign, pair, x, S).  For each slot pos: pair is None, x = T[pos] is the
     section whose anchor (or rho) acts, S is T without that slot and the sign is
-    (-1)^pos.  For each pair p1 < p2 and each l with [s_T[p1], s_T[p2]] having the
-    nonzero A-coefficient vector x on s_l: pair = (p1, p2), S is the rest with l
-    sorted in, and the sign is (-1)^(p1+p2) times the sign of that sort.  Terms
-    whose wedge repeats l vanish and are skipped; sorting assumes the rest is
-    increasing.
+    (-1)^pos.  For each pair p1 < p2 and each entry (l, x) of
+    terms[T[p1], T[p2]]: pair = (p1, p2), S is the rest with l sorted in, and the
+    sign is (-1)^(p1+p2) times the sign of that sort.  Terms whose wedge repeats
+    l vanish and are skipped; sorting assumes the rest is increasing.
     """
     for pos, j in enumerate(T):
         yield (-1 if pos % 2 else 1), None, j, T[:pos] + T[pos + 1:]
     for p1 in range(len(T)):
         for p2 in range(p1 + 1, len(T)):
+            nonzero = terms[T[p1], T[p2]]
+            if not nonzero:
+                continue
             rest = T[:p1] + T[p1 + 1:p2] + T[p2 + 1:]
             sgn = -1 if (p1 + p2) % 2 else 1
-            for l, x in enumerate(bracket[T[p1]][T[p2]]):
-                if not any(x) or l in rest:
+            for l, x in nonzero:
+                if l in rest:
                     continue
                 pos = bisect_left(rest, l)
                 yield (-sgn if pos % 2 else sgn), (p1, p2), x, rest[:pos] + (l,) + rest[pos:]
@@ -63,14 +69,17 @@ def ce_complex(L: LieRinehartAlgebroid, R: Representation) -> CEComplex:
     f = L.field
     tuples = [list(combinations(range(n), p)) for p in range(n + 1)]
     dims = [N * comb(n, p) for p in range(n + 1)]
+    blocks = bracket_actions(L, R)
+    rho = [None if r.is_zero() else r for r in R.rho]   # zero blocks add nothing
     diffs = []
     for p in range(n):
         index_p = {t: i for i, t in enumerate(tuples[p])}
         rows = [{} for _ in range(dims[p + 1])]
         for ti, T in enumerate(tuples[p + 1]):
-            for sgn, pair, x, S in koszul_terms(L.bracket, T):
-                block = R.rho[x] if pair is None else R.module.act_vec(x)
-                add_block(rows, ti * N, index_p[S] * N, block, sgn)
+            for sgn, pair, x, S in koszul_terms(blocks, T):
+                block = rho[x] if pair is None else x
+                if block is not None:
+                    add_block(rows, ti * N, index_p[S] * N, block, sgn)
         diffs.append(Matrix.from_dicts(f, dims[p], rows))
     try:
         cx = CochainComplex(f, dims, diffs)
@@ -79,14 +88,8 @@ def ce_complex(L: LieRinehartAlgebroid, R: Representation) -> CEComplex:
     return CEComplex(L, R, cx, tuples)
 
 
-def ce_cohomology(L: LieRinehartAlgebroid, R: Representation):
-    """[(degree, dim, representatives)] over the whole degree range."""
-    cx = ce_complex(L, R).complex
-    return [(p, cx.cohomology(p).dim, cx.cohomology(p).reps) for p in range(L.n + 1)]
-
-
 def ce_dims(L: LieRinehartAlgebroid, R: Representation) -> list[int]:
-    return [dim for _, dim, _ in ce_cohomology(L, R)]
+    return total_cohomology_dims(ce_complex(L, R).complex)
 
 
 @dataclass

@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .algebroid import invariants, validate_algebroid, validate_representation
-from .cecomplex import ce_cohomology, total_complex
+from .cecomplex import ce_complex, total_complex
 from .complexes import total_cohomology_dims
 from .enveloping import ext_dims, hom_complex_iso, rinehart_complex
 from .errors import EngineError, ParseError
@@ -71,17 +71,18 @@ def run(command: str, problem: ProblemFile, options: dict | None = None) -> tupl
     rep = problem.representation()
     try:
         if command == "cohomology":
-            table = ce_cohomology(problem.algebroid, rep)
+            cx = ce_complex(problem.algebroid, rep).complex
+            groups = [cx.cohomology(p) for p in range(cx.top_degree + 1)]
             report["results"] = {
-                "dims": [d for _, d, _ in table],
-                "representatives": {str(p): [fmt_vector(field, v) for v in reps]
-                                    for p, _, reps in table},
+                "dims": [h.dim for h in groups],
+                "representatives": {str(p): [fmt_vector(field, v, cx.dims[p]) for v in h.reps]
+                                    for p, h in enumerate(groups)},
             }
         elif command == "invariants":
             inv = invariants(problem.algebroid, rep)
             report["results"] = {
                 "dim": inv.dim,
-                "basis": [fmt_vector(field, v) for v in inv.basis],
+                "basis": [fmt_vector(field, v, inv.ambient_dim) for v in inv.basis],
             }
         elif command == "hs":
             if problem.extension_triple is None:

@@ -319,10 +319,10 @@ def edge_maps(fc: FilteredComplex, e2: SpectralPage) -> EdgeMaps:
     d1 = cx.diff(1)
     d2m = cx.diff(2)
     for z in e10.reps:
-        if any(d1.apply(z)):
+        if d1.apply(z):
             raise EngineError("E2^{1,0} representative is not a cocycle; filtration is not first-quadrant")
     for w in e20.reps:
-        if any(d2m.apply(w)):
+        if d2m.apply(w):
             raise EngineError("E2^{2,0} representative is not a cocycle; filtration is not first-quadrant")
 
     inflation1 = Matrix.from_columns(cx.field, h1.dim,

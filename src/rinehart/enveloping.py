@@ -30,7 +30,7 @@ from .algebroid import LieRinehartAlgebroid, Representation, anchor_representati
 from .cecomplex import CEComplex, ce_complex, koszul_terms
 from .complexes import total_cohomology_dims
 from .errors import EngineError, ExactnessFailure, MismatchAt
-from .linalg import Matrix, add_block, add_entry, combination, rank
+from .linalg import Matrix, add_block, add_entry, combination, dict_to_sparse, rank
 
 
 def _monomials(n, dmax):
@@ -78,8 +78,9 @@ class TruncatedEnveloping:
     # -- elements are dicts {monomial: coefficient} -------------------------
 
     def _add_into(self, acc, elem, scale=None):
+        unscaled = scale is None or scale == self.field.one
         for mono, c in elem.items():
-            v = c if scale is None else c * scale
+            v = c if unscaled else c * scale
             if mono in acc:
                 acc[mono] = acc[mono] + v
             else:
@@ -89,17 +90,17 @@ class TruncatedEnveloping:
         return {mono: c for mono, c in acc.items() if c}
 
     def unit(self):
-        return {(a, (0,) * self.L.n): self.alg.unit[a]
-                for a in range(self.L.m) if self.alg.unit[a]}
+        return self.coefficient(self.alg.sparse_unit)
 
     def section(self, i):
         """s_i as an element (the unit coefficient spread over the A-basis)."""
         alpha = tuple(1 if t == i else 0 for t in range(self.L.n))
-        return {(a, alpha): self.alg.unit[a] for a in range(self.L.m) if self.alg.unit[a]}
+        return {(a, alpha): c for a, c in self.alg.sparse_unit}
 
     def coefficient(self, f_coords):
+        """The element of A with sparse coordinates f_coords."""
         zero_alpha = (0,) * self.L.n
-        return {(a, zero_alpha): c for a, c in enumerate(f_coords) if c}
+        return {(a, zero_alpha): c for a, c in f_coords}
 
     def rmul_alg_mono(self, mono, b):
         """Normal form of (e_a s^alpha) e_b; the degree never grows."""
@@ -109,7 +110,7 @@ class TruncatedEnveloping:
             return hit
         a, alpha = mono
         if not any(alpha):
-            out = self._clean({(k, alpha): c for k, c in enumerate(self.alg.mult[a][b]) if c})
+            out = {(k, alpha): c for k, c in self.alg.sparse_mult[a][b]}
         else:
             j = max(t for t in range(self.L.n) if alpha[t])
             alpha_prev = tuple(x - 1 if t == j else x for t, x in enumerate(alpha))
@@ -118,10 +119,8 @@ class TruncatedEnveloping:
             t1, ov = self.rmul_s_elem(head, j)
             assert not ov
             self._add_into(out_acc, t1)
-            deriv = self.L.anchors[j].apply(self.alg.basis_vector(b))
-            for c_idx, cv in enumerate(deriv):
-                if cv:
-                    self._add_into(out_acc, self.rmul_alg_mono((a, alpha_prev), c_idx), cv)
+            for c_idx, cv in self.L.anchors[j].column(b):
+                self._add_into(out_acc, self.rmul_alg_mono((a, alpha_prev), c_idx), cv)
             out = self._clean(out_acc)
         self._memo_alg[key] = out
         return out
@@ -149,16 +148,12 @@ class TruncatedEnveloping:
             acc = {}
             self._add_into(acc, t1)
             # bracket correction [s_l, s_j], degree drops by one
-            for t_idx in range(self.L.n):
-                fl = self.L.bracket[l][j][t_idx]
-                if not any(fl):
-                    continue
-                for c_idx, cv in enumerate(fl):
-                    if cv:
-                        lowered = self.rmul_alg_mono((a, alpha_prev), c_idx)
-                        piece, ov3 = self.rmul_s_elem(lowered, t_idx)
-                        assert not ov3
-                        self._add_into(acc, piece, cv)
+            for t_idx, fl in self.L.bracket_terms[l, j]:
+                for c_idx, cv in fl:
+                    lowered = self.rmul_alg_mono((a, alpha_prev), c_idx)
+                    piece, ov3 = self.rmul_s_elem(lowered, t_idx)
+                    assert not ov3
+                    self._add_into(acc, piece, cv)
             out = (self._clean(acc), ov1 or ov2)
         self._memo_s[key] = out
         return out
@@ -212,14 +207,12 @@ class TruncatedEnveloping:
         """epsilon(u) = u . 1 as a map from U-coordinates to A-coordinates, with U
         acting on A through the anchor."""
         A = anchor_representation(self.L)
-        cols = [self.action_on_module(mono, A).apply(self.alg.unit) for mono in self.basis]
+        cols = [self.action_on_module(mono, A).apply(self.alg.sparse_unit) for mono in self.basis]
         return Matrix.from_columns(self.field, self.alg.dim, cols)
 
     def to_vector(self, elem):
-        v = [self.field.zero] * self.dim
-        for mono, c in elem.items():
-            v[self.index[mono]] = v[self.index[mono]] + c
-        return tuple(v)
+        """The element as a sparse vector on the PBW basis."""
+        return dict_to_sparse({self.index[mono]: c for mono, c in elem.items()})
 
     def table(self):
         """Deterministic multiplication table: expanded within the cutoff,
@@ -274,7 +267,7 @@ def rinehart_complex(L: LieRinehartAlgebroid, cutoff: int):
         rows = [{} for _ in range(len(bases[i - 1]))]
         for col, (mono, J) in enumerate(bases[i]):
             # u (x) s_J -> sum +- u s_j (x) s_rest + sum +- u f (x) s_merged, f = [s, s']
-            for sgn, pair, x, S in koszul_terms(L.bracket, J):
+            for sgn, pair, x, S in koszul_terms(L.bracket_terms, J):
                 if pair is None:
                     image, overflow = U.rmul_s_mono(mono, x)
                 else:

@@ -16,12 +16,13 @@ from functools import cached_property
 
 from .algebra import AModule, Violation, regular_module
 from .algebroid import (LieRinehartAlgebroid, Representation, anchor_representation,
-                        build_bracket_tensor, validate_algebroid, validate_representation)
+                        bracket_actions, build_bracket_tensor, validate_algebroid,
+                        validate_representation)
 from .cecomplex import CEComplex, ce_complex, koszul_terms
 from .complexes import Cohomology
 from .errors import EngineError, NotWellDefined
-from .linalg import (Matrix, add_block, block_diagonal, class_coordinates, hstack,
-                     image_subspace, kernel_subspace, rank, rref)
+from .linalg import (Matrix, add_block, block_diagonal, class_coordinates, dense_to_sparse,
+                     hstack, image_subspace, kernel_subspace, rank, rref, sub_vector)
 
 
 def amap_matrix(L_src: LieRinehartAlgebroid, L_dst: LieRinehartAlgebroid, acoords) -> Matrix:
@@ -29,11 +30,11 @@ def amap_matrix(L_src: LieRinehartAlgebroid, L_dst: LieRinehartAlgebroid, acoord
     act = regular_module(L_src.algebra).action
     rows = [{} for _ in range(L_dst.kdim)]
     for j in range(L_src.n):
-        for a, act_a in enumerate(act):
-            for l in range(L_dst.n):
-                for t, c in enumerate(act_a.apply(acoords[j][l])):
-                    if c:
-                        rows[L_dst.kindex(l, t)][L_src.kindex(j, a)] = c
+        for l in range(L_dst.n):
+            x = dense_to_sparse(acoords[j][l])
+            for a, act_a in enumerate(act):
+                for t, c in act_a.apply(x):
+                    rows[L_dst.kindex(l, t)][L_src.kindex(j, a)] = c
     return Matrix.from_dicts(L_src.field, L_src.kdim, rows)
 
 
@@ -124,7 +125,8 @@ def _invert(m: Matrix) -> Matrix:
     red, pivots = rref(hstack(m, Matrix.identity(m.field, m.rows)))
     if pivots != list(range(m.rows)):
         raise EngineError("matrix is not invertible")
-    return Matrix.from_rows(m.field, [row[m.rows:] for row in red])
+    return Matrix(m.field, m.rows, m.rows, tuple(sub_vector(row, m.rows, 2 * m.rows)
+                                                 for row in red))
 
 
 @dataclass
@@ -147,7 +149,6 @@ def adapt(E: ExtensionTriple, R: Representation) -> AdaptedExtension:
         raise EngineError("invalid extension: " + "; ".join(v.describe() for v in bad))
     L = E.L
     alg = L.algebra
-    f = L.field
     m = alg.dim
     c, r = E.K.n, E.Q.n
     n = L.n
@@ -161,13 +162,8 @@ def adapt(E: ExtensionTriple, R: Representation) -> AdaptedExtension:
         act = L.algebra_action_on_sections(b)
         if not T_inv.mul(act).sub(act.mul(T_inv)).is_zero():
             raise EngineError("inverse change of basis is not A-linear")
-    kvecs = []
-    for t in range(n):
-        v = [f.zero] * L.kdim
-        for l in range(n):
-            for a in range(m):
-                v[L.kindex(l, a)] = new_acoords[t][l][a]
-        kvecs.append(tuple(v))
+    kvecs = [tuple((L.kindex(l, a), x) for l in range(n) for a, x in enumerate(new_acoords[t][l])
+                   if x) for t in range(n)]
     tL = build_bracket_tensor(L)
     anchors_ad = [anchor_representation(L).rho_of_vector(L, v) for v in kvecs]
     rho_ad = [R.rho_of_vector(L, v) for v in kvecs]
@@ -176,19 +172,16 @@ def adapt(E: ExtensionTriple, R: Representation) -> AdaptedExtension:
         plane = []
         for j in range(n):
             w = tL.of_vectors(kvecs[i], kvecs[j])
-            acoords = L.k_to_acoords(T_inv.apply(w))
-            plane.append([tuple(v) for v in acoords])
+            plane.append(L.k_to_acoords(T_inv.apply(w)))
         bracket_ad.append(plane)
     L_ad = LieRinehartAlgebroid(alg, n, anchors_ad, bracket_ad)
     R_ad = Representation(R.module, rho_ad)
     if validate_algebroid(L_ad) or validate_representation(L_ad, R_ad):
         raise EngineError("adapted structure failed validation")
-    zero_vec = tuple(f.zero for _ in range(m))
     for i in range(c):
         for j in range(c):
-            for l in range(c, n):
-                if L_ad.bracket[i][j][l] != zero_vec:
-                    raise EngineError("kernel sections are not closed under the bracket")
+            if any(l >= c for l, _ in L_ad.bracket_terms[i, j]):
+                raise EngineError("kernel sections are not closed under the bracket")
     K_sub, Q_quot = _restrict(L_ad, range(c)), _restrict(L_ad, range(c, n))
     rho_K = Representation(R.module, rho_ad[:c])
     return AdaptedExtension(E, R, L_ad, R_ad, K_sub, rho_K, Q_quot, c, r)
@@ -232,15 +225,16 @@ def _lie_operator_on_k_cochains(ad: AdaptedExtension, ceK, q: int, section_index
     tuples = ceK.tuples[q]
     index_q = {t: i for i, t in enumerate(tuples)}
     size = len(tuples) * N
+    blocks = bracket_actions(ad.L_ad, ad.R_ad)
     rows = [{} for _ in range(size)]
     for ti, T in enumerate(tuples):
         add_block(rows, ti * N, ti * N, ad.R_ad.rho[section_index])
-        for sgn, pair, x, S in koszul_terms(ad.L_ad.bracket, (section_index,) + T):
+        for sgn, pair, x, S in koszul_terms(blocks, (section_index,) + T):
             if pair is None or pair[0] != 0:
                 continue
             if S[-1] >= ad.c:
                 raise NotWellDefined("bracket with the kernel leaves the kernel")
-            add_block(rows, ti * N, index_q[S] * N, ad.rep.module.act_vec(x), sgn)
+            add_block(rows, ti * N, index_q[S] * N, x, sgn)
     return Matrix.from_dicts(f, size, rows)
 
 

@@ -52,10 +52,7 @@ def hs_filtration(E: ExtensionTriple, R: Representation) -> HSFiltration:
             for ti, T in enumerate(tuples):
                 q_count = sum(1 for t in T if t >= c)
                 if q_count >= p:
-                    for mu in range(N):
-                        idx = ti * N + mu
-                        vecs.append(tuple(f.one if t == idx else f.zero
-                                          for t in range(cx.dims[s])))
+                    vecs.extend(((ti * N + mu, f.one),) for mu in range(N))
             chain.append(Subspace(f, cx.dims[s], vecs))
         filtration.append(chain)
     try:
@@ -114,15 +111,12 @@ def _module_tensor_forms(ad: AdaptedExtension, p: int) -> tuple[AModule, list]:
     only the coefficient action remains; that vanishing is asserted from the
     adapted brackets.
     """
-    f = ad.L_ad.field
     alg = ad.L_ad.algebra
-    zero_vec = tuple(f.zero for _ in range(alg.dim))
+    terms = ad.L_ad.bracket_terms
     for i in range(ad.c):
-        for j in range(ad.r):
-            for l in range(ad.c, ad.L_ad.n):
-                if ad.L_ad.bracket[i][ad.c + j][l] != zero_vec:
-                    raise FiltrationNotPreserved(
-                        "kernel action on the quotient does not vanish")
+        for j in range(ad.c, ad.L_ad.n):
+            if any(l >= ad.c for l, _ in terms[i, j]):
+                raise FiltrationNotPreserved("kernel action on the quotient does not vanish")
     copies = comb(ad.r, p)
     mod = AModule(alg, copies * ad.rep.module.dim,
                   [block_diagonal(m, copies) for m in ad.rep.module.action])

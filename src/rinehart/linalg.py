@@ -8,32 +8,38 @@ RREF, its pivot columns, the kernel vectors with a unit at each free column
 and the solution of m x = b with free coordinates zero are all unique, which
 fixes every basis and representative the engine reports.
 
-A `Matrix` holds only the nonzero entries of each row, and every operation,
-the elimination included, walks those alone; a dense view exists for rendering.
+A vector is sparse: the tuple of its nonzero (index, value) pairs in index
+order, the same thing a `Matrix` row is.  No zero is ever stored, so equal
+vectors are equal tuples.  Kernels, subspace bases, solutions, coordinates and
+representatives all take this form, and every operation, the elimination
+included, walks nonzeros alone; only reports and the `entries` view are dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EngineError, NotASubspace
 from .fields import Field
 
 
-Vector = tuple
-
-
-def _nonzeros(v) -> tuple:
-    """The nonzero (index, value) pairs of a dense vector, in index order."""
+def dense_to_sparse(v) -> tuple:
+    """The sparse vector of a dense one, for parsed structure constants."""
     return tuple((j, x) for j, x in enumerate(v) if x)
 
 
-def _sparse_row(acc: dict) -> tuple:
-    """A sparse row from a {col: value} accumulator: zeros dropped, columns sorted."""
+def dict_to_sparse(acc: dict) -> tuple:
+    """The sparse vector of a {index: value} accumulator: zeros dropped, indices sorted."""
     return tuple(sorted((j, x) for j, x in acc.items() if x))
 
 
-def _dense(pairs, n, z) -> Vector:
+def sub_vector(v, start, stop) -> tuple:
+    """The entries of v at start <= j < stop, shifted down by start."""
+    return tuple((j - start, x) for j, x in v if start <= j < stop)
+
+
+def _dense(pairs, n, z) -> tuple:
     out = [z] * n
     for j, x in pairs:
         out[j] = x
@@ -58,17 +64,17 @@ class Matrix:
         ncols = len(rows_t[0]) if rows_t else 0
         if any(len(r) != ncols for r in rows_t):
             raise ValueError("ragged rows")
-        return Matrix(field, len(rows_t), ncols, tuple(map(_nonzeros, rows_t)))
+        return Matrix(field, len(rows_t), ncols, tuple(map(dense_to_sparse, rows_t)))
 
     @staticmethod
     def from_columns(field, rows, columns):
-        """From dense columns of length rows; zero entries are dropped."""
-        return Matrix(field, len(columns), rows, tuple(map(_nonzeros, columns))).transpose()
+        """From sparse columns with every index < rows."""
+        return Matrix(field, len(columns), rows, tuple(map(tuple, columns))).transpose()
 
     @staticmethod
     def from_dicts(field, cols, dict_rows):
         """From rows {col: value} with every col < cols; zero values are dropped."""
-        return Matrix(field, len(dict_rows), cols, tuple(map(_sparse_row, dict_rows)))
+        return Matrix(field, len(dict_rows), cols, tuple(map(dict_to_sparse, dict_rows)))
 
     @staticmethod
     def zero(field, rows, cols):
@@ -84,18 +90,22 @@ class Matrix:
         z = self.field.zero
         return tuple(_dense(row, self.cols, z) for row in self.data)
 
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError(f"vector of length {len(v)} applied to a matrix with {self.cols} columns")
-        z = self.field.zero
-        out = []
-        for row in self.data:
-            acc = z
-            for j, x in row:
-                if v[j]:
-                    acc = acc + x * v[j]
-            out.append(acc)
-        return tuple(out)
+    @cached_property
+    def _columns(self) -> tuple:
+        """The sparse columns, kept once the first is asked for."""
+        return self.transpose().data
+
+    def apply(self, v) -> tuple:
+        """The sparse vector m v, walking only the columns at the nonzeros of v."""
+        if v and v[-1][0] >= self.cols:
+            raise ValueError(f"vector with an entry at {v[-1][0]} applied to a matrix "
+                             f"with {self.cols} columns")
+        cols = self._columns
+        acc = {}
+        for j, x in v:
+            for i, a in cols[j]:
+                acc[i] = acc[i] + a * x if i in acc else a * x
+        return dict_to_sparse(acc)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -107,7 +117,7 @@ class Matrix:
             for k, a in row:
                 for j, b in right[k]:
                     acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append(_sparse_row(acc))
+            out.append(dict_to_sparse(acc))
         return Matrix(self.field, self.rows, other.cols, tuple(out))
 
     def sub(self, other: "Matrix") -> "Matrix":
@@ -118,7 +128,7 @@ class Matrix:
             acc = dict(r1)
             for j, x in r2:
                 acc[j] = acc[j] - x if j in acc else -x
-            out.append(_sparse_row(acc))
+            out.append(dict_to_sparse(acc))
         return Matrix(self.field, self.rows, self.cols, tuple(out))
 
     def scale(self, c) -> "Matrix":
@@ -130,9 +140,8 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.data)
 
-    def column(self, j) -> Vector:
-        z = self.field.zero
-        return tuple(dict(row).get(j, z) for row in self.data)
+    def column(self, j) -> tuple:
+        return self._columns[j]
 
     def transpose(self) -> "Matrix":
         cols = [[] for _ in range(self.cols)]
@@ -223,8 +232,9 @@ class RowBasis:
     def pivots(self) -> list:
         return sorted(self.rows)
 
-    def dense(self, c) -> Vector:
-        return _dense(self.rows[c].items(), self.n, self.field.zero)
+    def vector(self, c) -> tuple:
+        """The row at pivot c as a sparse vector."""
+        return tuple(sorted(self.rows[c].items()))
 
     def reduce(self, v) -> dict:
         """Nonzero entries of v minus its part in the span, for v given by its
@@ -240,12 +250,13 @@ class RowBasis:
         if not w:
             return False
         c = min(w)
-        inv = self.field.one / w[c]
-        new = {j: x * inv for j, x in w.items()}
+        if w[c] != self.field.one:
+            inv = self.field.one / w[c]
+            w = {j: x * inv for j, x in w.items()}
         for row in self.rows.values():
             if c in row:
-                _sub_scaled(row, row[c], new)
-        self.rows[c] = new
+                _sub_scaled(row, row[c], w)
+        self.rows[c] = w
         return True
 
 
@@ -261,7 +272,7 @@ def rref(m: Matrix):
     """Reduced row echelon form: unique, used as the canonical basis of a span."""
     basis = echelon(m)
     pivots = basis.pivots()
-    return [basis.dense(c) for c in pivots], pivots
+    return [basis.vector(c) for c in pivots], pivots
 
 
 def rank(m: Matrix) -> int:
@@ -271,40 +282,38 @@ def rank(m: Matrix) -> int:
 
 def kernel_vectors(m: Matrix):
     """Basis of the null space {v : m v = 0}: for each free column j, the unit
-    vector at j with -row[j] at the pivot of each echelon row."""
+    vector at j with -row[j] at the pivot of each echelon row, read straight
+    off the RREF rows (a pivot precedes every free column of its row)."""
     basis = echelon(m)
-    z, o = m.field.zero, m.field.one
-    free = {j: [o if i == j else z for i in range(m.cols)]
-            for j in range(m.cols) if j not in basis.rows}
-    for c, row in basis.rows.items():
-        for j, x in row.items():
+    free = {j: [] for j in range(m.cols) if j not in basis.rows}
+    for c in basis.pivots():
+        for j, x in basis.rows[c].items():
             if j != c:
-                free[j][c] = -x
-    return [tuple(free[j]) for j in sorted(free)]
+                free[j].append((c, -x))
+    unit = m.field.one
+    return [tuple(pairs) + ((j, unit),) for j, pairs in free.items()]
 
 
-def solve(m: Matrix, b: Vector):
+def solve(m: Matrix, b):
     """One solution of m x = b with free coordinates set to zero, or None."""
     aug = echelon(hstack(m, Matrix.from_columns(m.field, m.rows, [b])))
     if m.cols in aug.rows:
         return None
-    x = [m.field.zero] * m.cols
-    for c, row in aug.rows.items():
-        x[c] = row.get(m.cols, m.field.zero)
-    return tuple(x)
+    return tuple((c, aug.rows[c][m.cols]) for c in aug.pivots() if m.cols in aug.rows[c])
 
 
 def class_coordinates(field, reps, den: "Subspace", vector):
     """Coefficients of vector on reps modulo den: solves [reps | den basis] x = vector
-    and keeps x[:len(reps)]; () when both are empty, None when there is no solution."""
+    and keeps x on the reps; () when both are empty, None when there is no solution."""
     if not reps and not den.basis:
         return ()
-    x = solve(Matrix.from_columns(field, len(vector), list(reps) + den.basis), tuple(vector))
-    return None if x is None else x[:len(reps)]
+    x = solve(Matrix.from_columns(field, den.ambient_dim, list(reps) + den.basis), vector)
+    return None if x is None else sub_vector(x, 0, len(reps))
 
 
 class Subspace:
-    """A subspace of k^ambient, held as an explicit independent basis.
+    """A subspace of k^ambient, held as an explicit independent basis of
+    sparse vectors.
 
     The basis is whatever the caller constructed (e.g. chosen representatives);
     its reduced echelon form, built once with it, answers membership, and
@@ -323,9 +332,9 @@ class Subspace:
     def _keep(self, v) -> bool:
         """Append v to the basis if it is independent of it; False otherwise."""
         v = tuple(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("basis vector of wrong length")
-        if not self._rows.add(_nonzeros(v)):
+        if v and v[-1][0] >= self.ambient_dim:
+            raise ValueError(f"basis vector with an entry at {v[-1][0]} in k^{self.ambient_dim}")
+        if not self._rows.add(v):
             return False
         self.basis.append(v)
         return True
@@ -340,8 +349,7 @@ class Subspace:
 
     @staticmethod
     def full(field, ambient_dim):
-        return Subspace(field, ambient_dim, [_dense(((j, field.one),), ambient_dim, field.zero)
-                                             for j in range(ambient_dim)])
+        return Subspace(field, ambient_dim, [((j, field.one),) for j in range(ambient_dim)])
 
     @staticmethod
     def span(field, ambient_dim, vectors):
@@ -352,13 +360,13 @@ class Subspace:
         return out
 
     def canonical(self):
-        return [self._rows.dense(c) for c in self._rows.pivots()]
+        return [self._rows.vector(c) for c in self._rows.pivots()]
 
     def is_full(self):
         return self.dim == self.ambient_dim
 
     def contains(self, v) -> bool:
-        return not self._rows.reduce(_nonzeros(v))
+        return not self._rows.reduce(v)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -385,10 +393,11 @@ class Subspace:
         if other.contains_space(self):
             return self
         # columns (alpha | beta) with sum alpha_i u_i = sum beta_j v_j
-        neg = [tuple(-x for x in v) for v in other.basis]
+        neg = [tuple((j, -x) for j, x in v) for v in other.basis]
         ker = kernel_vectors(Matrix.from_columns(self.field, self.ambient_dim, self.basis + neg))
         u = Matrix.from_columns(self.field, self.ambient_dim, self.basis)
-        return Subspace.span(self.field, self.ambient_dim, [u.apply(k[:self.dim]) for k in ker])
+        return Subspace.span(self.field, self.ambient_dim,
+                             [u.apply(sub_vector(k, 0, self.dim)) for k in ker])
 
     def preimage(self, m: Matrix) -> "Subspace":
         """{v : m v in self}, for m mapping k^cols into this ambient space."""
@@ -398,9 +407,10 @@ class Subspace:
         if self.is_full():
             return Subspace.full(self.field, m.cols)
         # kernel of (v, beta) |-> m v - sum beta_j w_j, projected to v
-        neg = Matrix.from_columns(self.field, m.rows, [tuple(-x for x in w) for w in self.basis])
+        neg = Matrix.from_columns(self.field, m.rows,
+                                  [tuple((j, -x) for j, x in w) for w in self.basis])
         ker = kernel_vectors(hstack(m, neg))
-        return Subspace.span(self.field, m.cols, [k[:m.cols] for k in ker])
+        return Subspace.span(self.field, m.cols, [sub_vector(k, 0, m.cols) for k in ker])
 
     def image(self, m: Matrix) -> "Subspace":
         """Image of this subspace under m (ambient = columns of m)."""
@@ -409,16 +419,11 @@ class Subspace:
                              f"of k^{self.ambient_dim}")
         return Subspace.span(self.field, m.rows, [m.apply(v) for v in self.basis])
 
-    def coordinates(self, v):
-        """Coefficients of v in this basis, or None if v is outside the span."""
-        return solve(Matrix.from_columns(self.field, self.ambient_dim, self.basis), tuple(v))
-
 
 def image_subspace(m: Matrix) -> Subspace:
     """Column space of m, with the pivot columns of m as basis."""
-    cols, z = m.transpose().data, m.field.zero
-    basis = [_dense(cols[j], m.rows, z) for j in echelon(m).pivots()]
-    return Subspace(m.field, m.rows, basis)
+    cols = m.transpose().data
+    return Subspace(m.field, m.rows, [cols[j] for j in echelon(m).pivots()])
 
 
 def kernel_subspace(m: Matrix) -> Subspace:
@@ -428,7 +433,7 @@ def kernel_subspace(m: Matrix) -> Subspace:
 def complete_basis(base: Subspace, candidates) -> list:
     """Candidates (in order) that extend `base` to an independent family."""
     rows = base._rows.copy()
-    return [tuple(v) for v in candidates if rows.add(_nonzeros(v))]
+    return [v for v in candidates if rows.add(v)]
 
 
 def quotient_dim(V: Subspace, W: Subspace):

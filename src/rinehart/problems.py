@@ -27,7 +27,7 @@ from .cecomplex import RepComplex
 from .errors import ParseError, ShapeError
 from .extensions import ExtensionTriple, extension_from_k_indices
 from .fields import GF, QQ, Field
-from .linalg import Matrix
+from .linalg import Matrix, dense_to_sparse
 
 
 def _expect(cond, msg):
@@ -238,12 +238,25 @@ def parse(path) -> ProblemFile:
     return from_dict(data)
 
 
-def fmt_vector(field, v):
-    return [field.fmt(x) for x in v]
+def fmt_vector(field, pairs, n):
+    """The n entries of the sparse vector pairs, formatted: one Field.fmt call per
+    nonzero, and 0 elsewhere, which is Field.fmt of zero in both fields."""
+    out = [0] * n
+    for j, x in pairs:
+        out[j] = field.fmt(x)
+    return out
+
+
+def _fmt_terms(field, terms, n, m):
+    """n coefficient vectors in A from the nonzero (l, sparse coefficient) pairs terms."""
+    out = [[0] * m for _ in range(n)]
+    for l, c in terms:
+        out[l] = fmt_vector(field, c, m)
+    return out
 
 
 def _fmt_matrix(field, m: Matrix):
-    return [[field.fmt(x) for x in row] for row in m.entries]
+    return [fmt_vector(field, row, m.cols) for row in m.data]
 
 
 def _module_dict(field, R: Representation):
@@ -255,19 +268,19 @@ def _module_dict(field, R: Representation):
 
 
 def to_dict(p: ProblemFile) -> dict:
-    f = p.field
+    f, L, m = p.field, p.algebroid, p.algebra.dim
     data = {
         "field": {"type": f.kind} if f.kind == "rational" else {"type": f.kind, "p": f.p},
         "algebra": {
             "dim": p.algebra.dim,
-            "unit": fmt_vector(f, p.algebra.unit),
-            "mult": [[fmt_vector(f, v) for v in row] for row in p.algebra.mult],
+            "unit": fmt_vector(f, p.algebra.sparse_unit, m),
+            "mult": [[fmt_vector(f, v, m) for v in row] for row in p.algebra.sparse_mult],
         },
         "algebroid": {
             "rank": p.algebroid.n,
             "anchor": [_fmt_matrix(f, a) for a in p.algebroid.anchors],
-            "bracket": [[[fmt_vector(f, v) for v in row] for row in plane]
-                        for plane in p.algebroid.bracket],
+            "bracket": [[_fmt_terms(f, L.bracket_terms[i, j], L.n, m) for j in range(L.n)]
+                        for i in range(L.n)],
         },
     }
     if p.module is not None:
@@ -275,12 +288,12 @@ def to_dict(p: ProblemFile) -> dict:
     if p.complex is not None:
         data["complex"] = {
             "modules": [_module_dict(f, r) for r in p.complex.representations],
-            "maps": [_fmt_matrix(f, m) for m in p.complex.maps],
+            "maps": [_fmt_matrix(f, mp) for mp in p.complex.maps],
         }
     if p.extension is not None:
         ext = {"k_indices": list(p.extension["k_indices"])}
         if p.extension.get("splitting") is not None:
-            ext["splitting"] = [[fmt_vector(f, v) for v in row]
+            ext["splitting"] = [[fmt_vector(f, dense_to_sparse(v), m) for v in row]
                                 for row in p.extension["splitting"]]
         else:
             ext["splitting"] = None

@@ -102,9 +102,16 @@ def lie_ce_dims_bruteforce(n, bracket_coeffs, rho, mod_p=None):
 
 
 def rank_mod_p(rows, p):
+    return len(rref_mod_p(rows, p)[1])
+
+
+def rref_mod_p(rows, p):
+    """The reduced row echelon form of an int matrix mod p: its nonzero rows
+    and their pivot columns."""
     m = [[int(Fraction(x)) % p for x in row] for row in rows]
     nr, nc = len(m), len(m[0])
     r = 0
+    pivots = []
     for c in range(nc):
         piv = None
         for i in range(r, nr):
@@ -120,8 +127,9 @@ def rank_mod_p(rows, p):
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
         r += 1
-    return r
+    return m[:r], pivots
 
 
 def limit_page_dims(fc):
@@ -147,6 +155,14 @@ def sparse_rows(rows):
     """The one sparse form of a dense matrix: per row, its nonzero (col, value)
     pairs in column order."""
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+
+def dense_vector(pairs, n, zero):
+    """The dense tuple of length n of a sparse vector of (index, value) pairs."""
+    out = [zero] * n
+    for j, x in pairs:
+        out[j] = x
+    return tuple(out)
 
 
 def dense_mul(a, b, cols, zero):

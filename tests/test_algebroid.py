@@ -4,6 +4,7 @@ from rinehart import catalog
 from rinehart.algebroid import (build_bracket_tensor, invariants, trivial_representation,
                                 validate_algebroid, validate_representation)
 from rinehart.fields import QQ
+from rinehart.linalg import dense_to_sparse
 
 
 def test_positive_corpus_validates():
@@ -32,8 +33,8 @@ def test_bracket_tensor_base_field_case():
     # A = k: the tensor is just the declared structure constants
     entry = catalog.sl2()
     t = build_bracket_tensor(entry.algebroid)
-    assert t.of_basis(0, 1) == (Fraction(0), Fraction(0), Fraction(1))  # [e,f] = h
-    assert t.of_basis(2, 0) == (Fraction(2), Fraction(0), Fraction(0))  # [h,e] = 2e
+    assert t.of_basis(0, 1) == ((2, Fraction(1)),)  # [e,f] = h
+    assert t.of_basis(2, 0) == ((0, Fraction(2)),)  # [h,e] = 2e
 
 
 def test_bracket_tensor_leibniz_term():
@@ -44,8 +45,7 @@ def test_bracket_tensor_leibniz_term():
     s = L.kindex(0, 0)
     xs = L.kindex(0, 1)
     vec = t.of_basis(s, xs)
-    expected = tuple(Fraction(1) if i == xs else Fraction(0) for i in range(L.kdim))
-    assert vec == expected
+    assert vec == ((xs, Fraction(1)),)
 
 
 def test_bracket_tensor_zero_anchor_is_bilinear():
@@ -55,9 +55,9 @@ def test_bracket_tensor_zero_anchor_is_bilinear():
     act = [L.algebra_action_on_sections(b) for b in range(L.m)]
     for b in range(L.m):
         for u in range(L.kdim):
-            eu = tuple(QQ.one if i == u else QQ.zero for i in range(L.kdim))
+            eu = ((u, QQ.one),)
             for v in range(L.kdim):
-                ev = tuple(QQ.one if i == v else QQ.zero for i in range(L.kdim))
+                ev = ((v, QQ.one),)
                 lhs = t.of_vectors(act[b].apply(eu), ev)
                 rhs = act[b].apply(t.of_vectors(eu, ev))
                 assert lhs == rhs
@@ -74,7 +74,7 @@ def test_invariants_fatpoint_anchor_rep():
     entry = catalog.fatpoint_rank1()
     inv = invariants(entry.algebroid, entry.representation)
     assert inv.dim == 1
-    assert inv.contains((Fraction(1), Fraction(0)))
+    assert inv.contains(dense_to_sparse((Fraction(1), Fraction(0))))
 
 
 def test_invariants_sl2_adjoint_no_center():

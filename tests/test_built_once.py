@@ -1,8 +1,10 @@
 """Each artifact of a request is built once: the kernel and image behind each
 cohomology group, the Lie-morphism check of a representation, the products
-of the regular module and the symbol commutators, and the validation of the
-algebra and of the extension.  Validating an algebroid forms no k-closure of
-its bracket and a number of matrix products set by the A-basis."""
+of the regular module and the symbol commutators, the action of each bracket
+coefficient, and the validation of the algebra and of the extension.
+Validating an algebroid forms no k-closure of its bracket and a number of
+matrix products set by the A-basis, and a report formats only the nonzero
+entries of its vectors."""
 
 import sys
 from collections import Counter
@@ -10,11 +12,12 @@ from itertools import product
 from pathlib import Path
 
 from rinehart import algebroid, cli, complexes, extensions
-from rinehart.algebra import FiniteAlgebra
+from rinehart.algebra import AModule, FiniteAlgebra
 from rinehart.algebroid import LieRinehartAlgebroid
-from rinehart.fields import QQ
+from rinehart.cecomplex import ce_complex
+from rinehart.fields import QQ, Field
 from rinehart.linalg import Matrix
-from rinehart.problems import ProblemFile, parse
+from rinehart.problems import ProblemFile, parse, problem_hash
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -175,3 +178,40 @@ def test_validation_products_over_a_fat_point(monkeypatch):
 def test_validation_products_over_the_base_field(monkeypatch):
     # m = 1: the k-basis is the A-basis, so there is nothing to save
     assert products_in_validation(monkeypatch, parse(PROBLEMS / "sl2_adjoint.json")) <= 26
+
+
+def abelian(n):
+    """The abelian Lie algebra k^n over Q, with trivial coefficients."""
+    f = QQ
+    alg = FiniteAlgebra(f, 1, [[(f.one,)]], (f.one,))
+    bracket = [[[(f.zero,)] * n for _ in range(n)] for _ in range(n)]
+    L = LieRinehartAlgebroid(alg, n, [Matrix.zero(f, 1, 1)] * n, bracket)
+    return ProblemFile(f, alg, L)
+
+
+def test_reports_format_only_nonzero_entries(monkeypatch):
+    problem = abelian(8)
+    calls = []
+    fmt = Field.fmt
+    monkeypatch.setattr(Field, "fmt", lambda self, x: calls.append(x) or fmt(self, x))
+    problem_hash(problem)
+    header = len(calls)
+    calls.clear()
+    report, code = cli.run("cohomology", problem)
+    assert code == 0, report
+    reps = report["results"]["representatives"]
+    nonzero = sum(1 for vectors in reps.values() for v in vectors for x in v if x != 0)
+    assert nonzero == 2 ** 8      # one unit cocycle per basis cochain
+    assert len(calls) <= nonzero + header
+
+
+def test_one_action_per_bracket_coefficient(monkeypatch):
+    calls = []
+    monkeypatch.setattr(AModule, "act_vec", recording(calls)(AModule.act_vec))
+    for problem in (parse(PROBLEMS / "fatpoint_rank2.json"), fat_point(4, 3)):
+        L, R = problem.algebroid, problem.representation()
+        coefficients = sum(1 for plane in L.bracket for row in plane for c in row if any(c))
+        calls.clear()
+        first, second = ce_complex(L, R), ce_complex(L, R)
+        assert first.complex.diffs == second.complex.diffs
+        assert 0 < len(calls) <= coefficients

@@ -31,7 +31,7 @@ def abelian2_ce():
 
 def test_cohomology_single_space():
     h = single_space().cohomology(0)
-    assert (h.dim, h.reps) == (1, [(Fraction(1),)])
+    assert (h.dim, h.reps) == (1, [((0, Fraction(1)),)])
 
 
 def test_cohomology_exact_two_term():
@@ -99,10 +99,10 @@ def aff1_ce():
 def aff1_hs_filtration():
     # filtration of the aff(1) complex by number of e2*-factors (K = span e1)
     c = aff1_ce()
-    one, zero = Fraction(1), Fraction(0)
+    one = Fraction(1)
     filt = [
         [Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
-        [Subspace.full(QQ, 2), Subspace(QQ, 2, [(zero, one)]), Subspace.zero(QQ, 2)],
+        [Subspace.full(QQ, 2), Subspace(QQ, 2, [((1, one),)]), Subspace.zero(QQ, 2)],
         [Subspace.full(QQ, 1), Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
     ]
     return FilteredComplex(c, filt)
@@ -122,10 +122,10 @@ def test_aff1_extension_pages():
 def test_pages_invariant_under_basis_permutation():
     fc = aff1_hs_filtration()
     c = fc.complex
-    one, zero = Fraction(1), Fraction(0)
+    one = Fraction(1)
     filt2 = [
         [Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
-        [Subspace(QQ, 2, [(zero, one), (one, zero)]), Subspace(QQ, 2, [(zero, one)]),
+        [Subspace(QQ, 2, [((1, one),), ((0, one),)]), Subspace(QQ, 2, [((1, one),)]),
          Subspace.zero(QQ, 2)],
         [Subspace.full(QQ, 1), Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
     ]
@@ -172,10 +172,10 @@ def two_step_exact():
 
 
 def permuted_aff1_filtration():
-    one, zero = Fraction(1), Fraction(0)
+    one = Fraction(1)
     filt = [
         [Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
-        [Subspace(QQ, 2, [(zero, one), (one, zero)]), Subspace(QQ, 2, [(zero, one)]),
+        [Subspace(QQ, 2, [((1, one),), ((0, one),)]), Subspace(QQ, 2, [((1, one),)]),
          Subspace.zero(QQ, 2)],
         [Subspace.full(QQ, 1), Subspace.full(QQ, 1), Subspace.zero(QQ, 1)],
     ]

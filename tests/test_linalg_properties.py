@@ -1,8 +1,10 @@
 """Property tests for the elimination engine against sympy (over Q) and the
 brute-force rank oracle (over F_5), on small sparse matrices with zero rows,
-duplicate rows and all-zero matrices; and for every sparse `Matrix` operation
+duplicate rows and all-zero matrices; for every sparse `Matrix` operation
 against the dense reference in oracles.py, over Q and F_5, on shapes down to
-0 x n and n x 0."""
+0 x n and n x 0; and for the subspace calculus on sparse vectors against
+dense ranks and reduced echelon forms, checking that no vector it returns
+stores a zero or an index out of order."""
 
 from fractions import Fraction
 
@@ -12,10 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (dense_add_block, dense_apply, dense_combination, dense_mul, dense_scale,
-                     dense_sub, dense_transpose, rank_mod_p, sparse_rows)
+                     dense_sub, dense_transpose, dense_vector, rank_mod_p, rref_mod_p,
+                     sparse_rows)
 from rinehart.fields import GF, QQ
-from rinehart.linalg import (Matrix, Subspace, add_block, combination, complete_basis,
-                             kernel_vectors, rank, rref, solve)
+from rinehart.linalg import (Matrix, Subspace, add_block, class_coordinates, combination,
+                             complete_basis, dense_to_sparse, kernel_vectors, rank, rref, solve)
+from rinehart.problems import fmt_vector
 
 F5 = GF(5)
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -78,9 +82,9 @@ def test_rref_and_kernel_match_sympy(case):
     red, pivots = s.rref()
     ours, our_pivots = rref(m)
     assert our_pivots == list(pivots)
-    assert ours == [tuple(frac(x) for x in red.row(i)) for i in range(len(pivots))]
+    assert ours == [dense_to_sparse(frac(x) for x in red.row(i)) for i in range(len(pivots))]
     assert rank(m) == len(pivots)
-    assert kernel_vectors(m) == [tuple(frac(x) for x in v) for v in s.nullspace()]
+    assert kernel_vectors(m) == [dense_to_sparse(frac(x) for x in v) for v in s.nullspace()]
 
 
 @SETTINGS
@@ -89,17 +93,17 @@ def test_solve_matches_sympy_consistency(case, xs, consistent):
     c, rows = case
     m, s = qmat(c, rows), smat(c, rows)
     if consistent:
-        b = m.apply(tuple(Fraction(x) for x in xs[:c]))
+        b = m.apply(dense_to_sparse(Fraction(x) for x in xs[:c]))
     else:
-        b = tuple(Fraction(x) for x in xs[:len(rows)])
+        b = dense_to_sparse(Fraction(x) for x in xs[:len(rows)])
     x = solve(m, b)
-    augmented = s.row_join(sympy.Matrix(len(rows), 1, list(b)))
+    augmented = s.row_join(sympy.Matrix(len(rows), 1, list(dense_vector(b, len(rows), 0))))
     if augmented.rank() > s.rank():
         assert x is None
         return
     assert x is not None and m.apply(x) == b
     _, pivots = s.rref()
-    assert all(not x[j] for j in range(c) if j not in pivots)
+    assert all(j in pivots for j, _ in x)
 
 
 @SETTINGS
@@ -111,7 +115,7 @@ def test_rank_mod_5_matches_oracle(case):
         else Matrix.zero(F5, 0, c)
     assert rank(m) == f5_rank(rows)
     for v in kernel_vectors(m):
-        assert not any(m.apply(v))
+        assert m.apply(v) == ()
 
 
 @pytest.mark.parametrize("field, to_field, rank_of, entries", [
@@ -123,16 +127,16 @@ def test_span_and_complete_basis_match_greedy_oracle(field, to_field, rank_of, e
     @given(int_rows(entries), st.integers(0, 8))
     def check(case, split):
         c, rows = case
-        vecs = [tuple(to_field(x) for x in r) for r in rows]
+        vecs = [dense_to_sparse(to_field(x) for x in r) for r in rows]
         kept = greedy(rank_of, [], rows)
         sub = Subspace.span(field, c, vecs)
-        assert sub.basis == [tuple(to_field(x) for x in r) for r in kept]
+        assert sub.basis == [dense_to_sparse(to_field(x) for x in r) for r in kept]
         assert all(sub.contains(v) for v in vecs)
         base = Subspace.span(field, c, vecs[:split])
         before = (list(base.basis), base.canonical())
         start = greedy(rank_of, [], rows[:split])
         extra = complete_basis(base, vecs[split:])
-        assert extra == [tuple(to_field(x) for x in r)
+        assert extra == [dense_to_sparse(to_field(x) for x in r)
                          for r in greedy(rank_of, start, rows[split:])]
         assert (base.basis, base.canonical()) == before
 
@@ -148,22 +152,23 @@ def test_subspace_rejects_a_dependent_basis(field, to_field, rank_of, entries):
     @given(int_rows(entries))
     def check(case):
         c, rows = case
-        vecs = [tuple(to_field(x) for x in r) for r in rows]
+        dense = [tuple(to_field(x) for x in r) for r in rows]
+        vecs = list(map(dense_to_sparse, dense))
         if rank_of(rows) < len(rows):
             with pytest.raises(ValueError, match="dependent"):
                 Subspace(field, c, vecs)
         else:
             sub = Subspace(field, c, vecs)
             assert sub.basis == vecs
-            assert sub.canonical() == (rref(Matrix.from_rows(field, vecs))[0] if vecs else [])
+            assert sub.canonical() == (rref(Matrix.from_rows(field, dense))[0] if vecs else [])
 
     check()
 
 
 def test_subspace_rejects_a_repeated_vector():
-    v = (Fraction(1), Fraction(2))
+    v = ((0, Fraction(1)), (1, Fraction(2)))
     with pytest.raises(ValueError, match="dependent"):
-        Subspace(QQ, 2, [v, tuple(2 * x for x in v)])
+        Subspace(QQ, 2, [v, tuple((j, 2 * x) for j, x in v)])
 
 
 # -- the sparse Matrix against the dense reference in oracles.py --------------
@@ -228,7 +233,7 @@ def test_mul_and_apply_match_dense(field, data):
     a, b = data.draw(dense(field, r, k)), data.draw(dense(field, k, c))
     assert_is(mat(field, a, k).mul(mat(field, b, c)), dense_mul(a, b, c, field.zero), c)
     v = tuple(data.draw(values(field)) for _ in range(k))
-    assert mat(field, a, k).apply(v) == dense_apply(a, v, field.zero)
+    assert mat(field, a, k).apply(dense_to_sparse(v)) == dense_to_sparse(dense_apply(a, v, field.zero))
 
 
 @pytest.mark.parametrize("field", MATRIX_FIELDS)
@@ -252,7 +257,7 @@ def test_transpose_column_and_is_zero_match_dense(field, data):
     m = mat(field, a, c)
     t = dense_transpose(a, c)
     assert_is(m.transpose(), t, r)
-    assert [m.column(j) for j in range(c)] == [tuple(col) for col in t]
+    assert [m.column(j) for j in range(c)] == [dense_to_sparse(col) for col in t]
     assert m.is_zero() == (not any(x for row in a for x in row))
 
 
@@ -312,3 +317,179 @@ def test_cancelled_entries_are_not_stored():
     add_block(rows, 0, 0, a)
     add_block(rows, 0, 0, a, -1)
     assert Matrix.from_dicts(QQ, 2, rows) == Matrix.zero(QQ, 1, 2)
+
+
+# -- the subspace calculus on sparse vectors against dense references ---------
+
+VECTOR_CASES = [
+    pytest.param(QQ, Fraction, q_rank, Q_ENTRIES, id="Q"),
+    pytest.param(F5, F5.from_int, f5_rank, F5_ENTRIES, id="F_5"),
+]
+
+
+def is_sparse(v, n):
+    """v is a sparse vector of k^n: nonzero values at indices increasing below n."""
+    idx = [j for j, _ in v]
+    return all(x for _, x in v) and idx == sorted(set(idx)) and all(0 <= j < n for j in idx)
+
+
+def plain(field, v, n):
+    """The dense row of ints and fractions that the rank oracles read."""
+    return [x if field is QQ else x.v for x in dense_vector(v, n, field.zero)]
+
+
+def dense_rref(field, rows, c):
+    """(RREF rows as field tuples, pivots) from sympy over Q or the mod-5 oracle."""
+    if not rows:
+        return [], []
+    if field is QQ:
+        red, pivots = smat(c, rows).rref()
+        return [tuple(frac(x) for x in red.row(i)) for i in range(len(pivots))], list(pivots)
+    red, pivots = rref_mod_p(rows, 5)
+    return [tuple(map(F5.from_int, row)) for row in red], pivots
+
+
+def dense_nullspace(field, rows, c):
+    """The unit vector at each free column j with -rref[i][j] at each pivot."""
+    red, pivots = dense_rref(field, rows, c)
+    out = []
+    for j in range(c):
+        if j not in pivots:
+            v = [field.zero] * c
+            v[j] = field.one
+            for row, p in zip(red, pivots):
+                v[p] = -row[j]
+            out.append(tuple(v))
+    return out
+
+
+@st.composite
+def vector_lists(draw, entries, c, max_size=5):
+    return draw(st.lists(st.lists(entries, min_size=c, max_size=c), max_size=max_size))
+
+
+@pytest.mark.parametrize("field, to_field, rank_of, entries", VECTOR_CASES)
+def test_kernel_rref_and_canonical_match_dense(field, to_field, rank_of, entries):
+    @SETTINGS
+    @given(int_rows(entries))
+    def check(case):
+        c, rows = case
+        dense = [tuple(to_field(x) for x in r) for r in rows]
+        m = Matrix.from_rows(field, dense) if rows else Matrix.zero(field, 0, c)
+        ker = kernel_vectors(m)
+        assert all(is_sparse(v, c) for v in ker)
+        assert ker == [dense_to_sparse(v) for v in dense_nullspace(field, rows, c)]
+        red, pivots = dense_rref(field, rows, c)
+        assert rref(m) == ([dense_to_sparse(r) for r in red], pivots)
+        sub = Subspace.span(field, c, map(dense_to_sparse, dense))
+        assert sub.canonical() == [dense_to_sparse(r) for r in red]
+
+    check()
+
+
+@pytest.mark.parametrize("field, to_field, rank_of, entries", VECTOR_CASES)
+def test_span_contains_intersect_match_dense_ranks(field, to_field, rank_of, entries):
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        c = data.draw(st.integers(1, 6))
+        us, ws = data.draw(vector_lists(entries, c)), data.draw(vector_lists(entries, c))
+        probe = data.draw(st.lists(entries, min_size=c, max_size=c))
+        U = Subspace.span(field, c, [dense_to_sparse(map(to_field, r)) for r in us])
+        W = Subspace.span(field, c, [dense_to_sparse(map(to_field, r)) for r in ws])
+        u = [plain(field, v, c) for v in U.basis]
+        w = [plain(field, v, c) for v in W.basis]
+        assert U.contains(dense_to_sparse(map(to_field, probe))) == \
+            (rank_of(u + [probe]) == len(u))
+        cap = U.intersect(W)
+        assert all(is_sparse(v, c) for v in cap.basis)
+        for v in cap.basis:
+            x = plain(field, v, c)
+            assert rank_of(u + [x]) == len(u) and rank_of(w + [x]) == len(w)
+        assert cap.dim == len(u) + len(w) - rank_of(u + w)
+
+    check()
+
+
+@pytest.mark.parametrize("field, to_field, rank_of, entries", VECTOR_CASES)
+def test_preimage_and_image_match_dense(field, to_field, rank_of, entries):
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        r, c = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        rows = [data.draw(st.lists(entries, min_size=c, max_size=c)) for _ in range(r)]
+        dense = [[to_field(x) for x in row] for row in rows]
+        m = Matrix.from_rows(field, dense)
+        W = Subspace.span(field, r, [dense_to_sparse(map(to_field, v))
+                                     for v in data.draw(vector_lists(entries, r))])
+        w = [plain(field, v, r) for v in W.basis]
+        P = W.preimage(m)
+        assert all(is_sparse(v, c) for v in P.basis)
+        for v in P.basis:
+            image = dense_apply(dense, dense_vector(v, c, field.zero), field.zero)
+            assert rank_of(w + [[x if field is QQ else x.v for x in image]]) == len(w)
+        columns = [[row[j] for row in rows] for j in range(c)]
+        assert P.dim == c + len(w) - rank_of(columns + w)
+        U = Subspace.span(field, c, [dense_to_sparse(map(to_field, v))
+                                     for v in data.draw(vector_lists(entries, c))])
+        images = [dense_apply(dense, dense_vector(v, c, field.zero), field.zero)
+                  for v in U.basis]
+        kept = greedy(rank_of, [], [[x if field is QQ else x.v for x in y] for y in images])
+        assert U.image(m).basis == [dense_to_sparse(map(to_field, v)) for v in kept]
+
+    check()
+
+
+@pytest.mark.parametrize("field, to_field, rank_of, entries", VECTOR_CASES)
+def test_solve_and_class_coordinates_match_dense(field, to_field, rank_of, entries):
+    @SETTINGS
+    @given(int_rows(entries), st.data())
+    def check(case, data):
+        c, rows = case
+        dense = [[to_field(x) for x in r] for r in rows]
+        m = Matrix.from_rows(field, dense) if rows else Matrix.zero(field, 0, c)
+        b = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        x = solve(m, dense_to_sparse(map(to_field, b)))
+        augmented = [list(row) + [y] for row, y in zip(rows, b)]
+        if rows and rank_of(augmented) > rank_of(rows):
+            assert x is None
+        else:
+            assert x is not None and is_sparse(x, c)
+            assert dense_apply(dense, dense_vector(x, c, field.zero), field.zero) == \
+                tuple(map(to_field, b))
+            assert {j for j, _ in x} <= set(dense_rref(field, rows, c)[1])
+        # classes modulo a denominator D, on representatives that extend its basis
+        D = Subspace.span(field, c, [dense_to_sparse(map(to_field, v))
+                                     for v in data.draw(vector_lists(entries, c, 3))])
+        reps = complete_basis(D, [dense_to_sparse(map(to_field, v))
+                                  for v in data.draw(vector_lists(entries, c, 3))])
+        vector = data.draw(st.lists(entries, min_size=c, max_size=c))
+        y = class_coordinates(field, reps, D, dense_to_sparse(map(to_field, vector)))
+        if not reps and not D.basis:
+            assert y == ()     # the zero class group: nothing is solved for
+            return
+        both = [plain(field, v, c) for v in reps + D.basis]
+        if rank_of(both + [vector]) > len(both):
+            assert y is None
+            return
+        assert y is not None and is_sparse(y, len(reps))
+        rest = dense_vector(dense_to_sparse(map(to_field, vector)), c, field.zero)
+        for j, coeff in y:
+            rest = tuple(a - coeff * e for a, e in zip(rest, dense_vector(reps[j], c, field.zero)))
+        d = [plain(field, v, c) for v in D.basis]
+        assert rank_of(d + [[a if field is QQ else a.v for a in rest]]) == len(d)
+
+    check()
+
+
+@pytest.mark.parametrize("field", MATRIX_FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_apply_and_fmt_vector_match_dense(field, data):
+    r, k = data.draw(SIZES), data.draw(SIZES)
+    a = data.draw(dense(field, r, k))
+    v = tuple(data.draw(values(field)) for _ in range(k))
+    out = mat(field, a, k).apply(dense_to_sparse(v))
+    assert is_sparse(out, r)
+    assert dense_vector(out, r, field.zero) == dense_apply(a, v, field.zero)
+    assert fmt_vector(field, dense_to_sparse(v), k) == [field.fmt(x) for x in v]

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import algebra_violations, bracket_table, is_derivation
+from oracles import algebra_violations, bracket_table, dense_vector, is_derivation
 from rinehart.algebra import FiniteAlgebra, derivation_space, matrix_from_flat, validate_algebra
 from rinehart.algebroid import LieRinehartAlgebroid, build_bracket_tensor, validate_algebroid
 from rinehart.fields import GF, QQ
+from rinehart.linalg import dense_to_sparse
 
 FIELDS = [QQ, GF(2), GF(3)]
 SCALARS = [0, 0, 0, 1, -1, 2, Fraction(1, 2)]
@@ -64,10 +65,10 @@ def algebroids(draw, f):
             flat = [f.zero] * (m * m)
             for d in ders:
                 c = draw(entry)
-                flat = [x + c * y for x, y in zip(flat, d)]
+                flat = [x + c * y for x, y in zip(flat, dense_vector(d, m * m, f.zero))]
         else:
             flat = [draw(entry) for _ in range(m * m)]
-        anchors.append(matrix_from_flat(f, flat, m, m))
+        anchors.append(matrix_from_flat(f, dense_to_sparse(flat), m, m))
     bracket = [[[tuple(draw(entry) for _ in range(m)) for _ in range(n)] for _ in range(n)]
                for _ in range(n)]
     return LieRinehartAlgebroid(A, n, anchors, bracket)
@@ -82,4 +83,5 @@ def test_product_checks_match_the_dense_loops(f, data):
     assert [(v.axiom, v.indices) for v in validate_algebra(A)] == algebra_violations(A)
     failing = [v.indices for v in validate_algebroid(L) if v.axiom == "anchor-derivation"]
     assert failing == [(i,) for i, d in enumerate(L.anchors) if not is_derivation(A, d)]
-    assert build_bracket_tensor(L).table == bracket_table(L)
+    assert build_bracket_tensor(L).table == [[dense_to_sparse(v) for v in row]
+                                             for row in bracket_table(L)]

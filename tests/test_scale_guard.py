@@ -1,7 +1,8 @@
 """Problems that are large as linear algebra but small as mathematics must stay
-cheap: abelian k^10 has 1024 cochains and zero differentials, and sl2 at PBW
-degree 6 has an 84-dimensional truncated enveloping algebra.  Each run takes
-well under a second when matrix operations walk only nonzero entries."""
+cheap: abelian k^10 and k^12 have 1024 and 4096 cochains and zero
+differentials, and sl2 at PBW degree 6 has an 84-dimensional truncated
+enveloping algebra.  Each run takes about a second or less when matrices and
+vectors walk only their nonzero entries."""
 
 from math import comb
 
@@ -32,6 +33,13 @@ def test_abelian_k10_cohomology(field):
     report, code = cli.run("cohomology", lie_problem(field, 10, []))
     assert code == 0, report
     assert report["results"]["dims"] == [comb(10, p) for p in range(11)]
+
+
+def test_abelian_k12_cohomology_over_f101():
+    # 4096 cochains whose representatives are all unit vectors
+    report, code = cli.run("cohomology", lie_problem(GF(101), 12, []))
+    assert code == 0, report
+    assert report["results"]["dims"] == [comb(12, p) for p in range(13)]
 
 
 def test_sl2_ext_at_degree_6():

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import alternating_violations, bracket_table, failing_pairs, jacobi_triples
+from oracles import (alternating_violations, bracket_table, dense_vector, failing_pairs,
+                     jacobi_triples)
 from rinehart.algebra import AModule, FiniteAlgebra, derivation_space, matrix_from_flat
 from rinehart.algebroid import (LieRinehartAlgebroid, Representation, anchor_representation,
                                 validate_algebroid, validate_representation)
 from rinehart.fields import GF, QQ
-from rinehart.linalg import block_diagonal
+from rinehart.linalg import block_diagonal, dense_to_sparse
 from test_product_properties import entries
 
 FIELDS = [QQ, GF(2), GF(3)]
@@ -38,7 +39,8 @@ def algebras(draw, f):
 
 
 def random_matrix(draw, f, rows, cols):
-    return matrix_from_flat(f, [draw(entries(f)) for _ in range(rows * cols)], rows, cols)
+    return matrix_from_flat(f, dense_to_sparse(draw(entries(f)) for _ in range(rows * cols)),
+                            rows, cols)
 
 
 def sparse_matrix(draw, f, n):
@@ -46,7 +48,7 @@ def sparse_matrix(draw, f, n):
     flat = [f.zero] * (n * n)
     for _ in range(draw(st.integers(0, 2))):
         flat[draw(st.integers(0, n * n - 1))] = draw(entries(f))
-    return matrix_from_flat(f, flat, n, n)
+    return matrix_from_flat(f, dense_to_sparse(flat), n, n)
 
 
 @st.composite
@@ -61,8 +63,8 @@ def algebroids(draw, f):
             flat = [f.zero] * (m * m)
             for d in ders:
                 c = draw(entries(f))
-                flat = [x + c * y for x, y in zip(flat, d)]
-            anchors.append(matrix_from_flat(f, flat, m, m))
+                flat = [x + c * y for x, y in zip(flat, dense_vector(d, m * m, f.zero))]
+            anchors.append(matrix_from_flat(f, dense_to_sparse(flat), m, m))
         else:
             anchors.append(random_matrix(draw, f, m, m))
     coeffs = st.lists(entries(f), min_size=m, max_size=m).map(tuple)
