@@ -1,25 +1,28 @@
 """Cochain complexes of finite-dimensional spaces and the spectral sequence
 of a filtered complex.
 
-Pages are computed from the subquotient formula
-
-    E_r^{p,q} = (F^p n d^{-1} F^{p+r} + F^{p+1}) / (F^{p+1} + d(F^{p-r+1}) n F^p)
-
-in total degree p+q, with filtration indices clamped (F^p is the whole space
-for p < 0 and zero beyond the declared chain).  For a filtration of length T
-every differential d_r with r > T vanishes, and under the clamping the page at
-r = T+1 has Z_r = F^p n ker d and B_r = im d n F^p: it is the limit page, read
-where the bound fixes it and certified by convergence to H^n of the complex.
+A filtration gives each basis coordinate a level, F^p being spanned by the
+coordinates of level >= p.  One column reduction of each d_s in filtration
+order (Zomorodian-Carlsson, "Computing persistent homology") changes the basis
+unitriangularly within the filtration into one where d pairs basis elements:
+b_j -> b_i with level gap g = level(i) - level(j) >= 0, every other element
+going to zero.  The filtered complex is then a direct sum of two-term interval
+complexes and single elements, so the pages are read off the pairs
+(Basu-Parida, "Spectral sequences, exact couples and persistence modules"):
+E_r^{p,q} holds the elements of level p in degree p+q that are unpaired or
+paired with gap >= r, and d_r is the matching of the gap-r pairs.  The limit
+page holds the unpaired elements; it is the page at r = T+1 for the top level
+T and is certified by convergence to H^n of the complex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import ConstructionInconsistent, DegreeOutOfRange, EngineError, IncompatibleFiltration
-from .linalg import (Matrix, Subspace, class_coordinates, complete_basis,
-                     image_subspace, kernel_subspace, kernel_vectors, rank)
+from .linalg import (Matrix, Subspace, _sub_scaled, class_coordinates, complete_basis,
+                     dict_to_sparse, image_subspace, kernel_subspace, kernel_vectors, rank)
 
 
 @dataclass
@@ -97,91 +100,135 @@ def total_cohomology_dims(c: CochainComplex):
 
 
 class FilteredComplex:
-    """A cochain complex with a decreasing filtration compatible with d.
+    """A cochain complex with a decreasing filtration by coordinates.
 
-    `filtration[i]` is the chain [F^0, F^1, ...] at degree i; F^0 must be the
-    whole space and d(F^p) must land in F^p one degree up.  The images d(F^p)
-    built for that check and the preimages d^{-1}(F^p) are kept per degree and
-    clamped level 0..T+1, where T is the longest chain's last index.
+    `levels[s][j] >= 0` is the level of coordinate j in degree s, and F^p is
+    spanned by the coordinates of level >= p.  The filtration is compatible
+    with d when every nonzero entry of each d_s goes from a coordinate of level
+    l to one of level >= l.
     """
 
-    def __init__(self, complex: CochainComplex, filtration):
+    def __init__(self, complex: CochainComplex, levels):
         self.complex = complex
-        self.filtration = [list(chain) for chain in filtration]
-        if len(self.filtration) != complex.top_degree + 1:
-            raise IncompatibleFiltration("one filtration chain per degree is required")
-        for i, chain in enumerate(self.filtration):
-            if not chain or not chain[0].is_full() or chain[0].ambient_dim != complex.dims[i]:
-                raise IncompatibleFiltration(f"F^0 at degree {i} must be the whole space")
-            for p in range(len(chain) - 1):
-                if not chain[p].contains_space(chain[p + 1]):
-                    raise IncompatibleFiltration(f"chain not decreasing at degree {i}, index {p}")
-        self.top_index = max(len(chain) - 1 for chain in self.filtration)
-        self._images = {}
-        self._preimages = {}
-        for i in range(complex.top_degree + 1):
-            d = complex.diff(i)
-            for p in range(self.top_index + 2):
-                img = self._images[(i, p)] = self.space(i, p).image(d)
-                if not self.space(i + 1, p).contains_space(img):
-                    raise IncompatibleFiltration(
-                        f"d(F^{p}) not inside F^{p} from degree {i}")
+        self.levels = [tuple(lv) for lv in levels]
+        if len(self.levels) != complex.top_degree + 1:
+            raise IncompatibleFiltration("one list of levels per degree is required")
+        for s, lv in enumerate(self.levels):
+            if len(lv) != complex.dims[s]:
+                raise IncompatibleFiltration(f"{len(lv)} levels for the {complex.dims[s]} "
+                                             f"coordinates of degree {s}")
+            if any(level < 0 for level in lv):
+                raise IncompatibleFiltration(f"negative level at degree {s}")
+        for s, d in enumerate(complex.diffs):
+            src, tgt = self.levels[s], self.levels[s + 1]
+            for i, row in enumerate(d.data):
+                for j, _ in row:
+                    if tgt[i] < src[j]:
+                        raise IncompatibleFiltration(
+                            f"d(F^{src[j]}) not inside F^{src[j]} from degree {s}")
+        self.top_level = max((level for lv in self.levels for level in lv), default=0)
 
-    def space(self, i, p) -> Subspace:
-        """F^p at degree i, clamped outside the declared ranges."""
-        dim_i = self.complex.space_dim(i)
-        if dim_i == 0:
-            return Subspace.zero(self.complex.field, 0)
-        if p <= 0:
-            return self.filtration[i][0]
-        chain = self.filtration[i]
-        if p < len(chain):
-            return chain[p]
-        return Subspace.zero(self.complex.field, dim_i)
 
-    def _level(self, p) -> int:
-        return min(max(p, 0), self.top_index + 1)
+def _reduce(d: Matrix, src, tgt):
+    """The column reduction R = d V of d in filtration order.
 
-    def image(self, i, p) -> Subspace:
-        """d_i(F^p) in degree i+1."""
-        return self._images[(i, self._level(p))]
-
-    def preimage(self, i, p) -> Subspace:
-        """d_i^{-1}(F^p), the preimage in degree i of F^p one degree up."""
-        key = (i, self._level(p))
-        if key not in self._preimages:
-            self._preimages[key] = self.space(i + 1, p).preimage(self.complex.diff(i))
-        return self._preimages[key]
+    Columns go by level descending, then index; a column's pivot is its
+    nonzero row of lowest level, then highest index, and it is cleared there by
+    earlier columns only, so V is unitriangular.  Returns {pivot row: column}
+    and the columns R_j and V_j as {index: value} rows.
+    """
+    one = d.field.one
+    owner, R, V = {}, [None] * d.cols, [None] * d.cols
+    for j in sorted(range(d.cols), key=lambda j: (-src[j], j)):
+        r, v = dict(d.column(j)), {j: one}
+        while r:
+            i = max(r, key=lambda i: (-tgt[i], i))
+            k = owner.get(i)
+            if k is None:
+                owner[i] = j
+                break
+            f = r[i] / R[k][i]
+            _sub_scaled(r, f, R[k])
+            _sub_scaled(v, f, V[k])
+        R[j], V[j] = r, v
+    return owner, R, V
 
 
 @dataclass
-class PageEntry:
-    dim: int
-    reps: list           # representatives, vectors in C^{p+q}
-    _den: Subspace       # denominator subspace, for coordinate extraction
+class Pairing:
+    """The persistence pairing of a filtered complex, per degree s.
+
+    `basis[s][e]` is b_e, the vector whose latest entry is e: R_k when e is the
+    pivot of column k of d_{s-1}, V_e otherwise.  In that basis d sends each
+    source b_j to its partner b_{target[s][j]} and every other b_e to zero.
+    `gap[s][e]` is the level gap of e's pair, None when e is unpaired.
+    """
+    levels: list
+    basis: list
+    target: list
+    gap: list
+
+
+def _pairing(fc: FilteredComplex) -> Pairing:
+    """Reduce each d_s once and read the pairs off the reductions.  A pivot row
+    of d_{s-1} is a coboundary, so by d o d = 0 its own column of d_s reduces
+    to zero; a column that does not is an engine error."""
+    cx = fc.complex
+    lv = fc.levels + [()]
+    basis, target, gap = [], [], []
+    below = {}                       # pivot rows of d_{s-1} -> (column, R)
+    for s in range(cx.top_degree + 1):
+        owner, R, V = _reduce(cx.diff(s), lv[s], lv[s + 1])
+        b, g = list(V), [None] * cx.dims[s]
+        for e, (k, column) in below.items():
+            if R[e]:
+                raise EngineError(f"column {e} of d_{s} does not reduce to zero "
+                                  f"though it is a pivot of d_{s - 1}")
+            b[e], g[e] = column, lv[s][e] - lv[s - 1][k]
+        up = {}
+        for i, j in owner.items():
+            up[j], g[j] = i, lv[s + 1][i] - lv[s][j]
+        basis.append(b)
+        target.append(up)
+        gap.append(g)
+        below = {i: (j, R[j]) for i, j in owner.items()}
+    return Pairing(fc.levels, basis, target, gap)
 
 
 @dataclass
 class SpectralPage:
     r: int               # page number
-    field: object
-    entries: dict        # (p, q) -> PageEntry
-    diffs: dict = dfield(default_factory=dict)   # (p, q) -> Matrix on representatives
+    entries: dict        # (p, q) -> the surviving coordinates of degree p+q, in index order
+    diffs: dict          # (p, q) -> Matrix on representatives
+    pairing: Pairing
 
     def dim(self, p, q) -> int:
-        e = self.entries.get((p, q))
-        return e.dim if e else 0
+        return len(self.entries.get((p, q), ()))
 
     def dims(self) -> dict:
-        return {pq: e.dim for pq, e in sorted(self.entries.items()) if e.dim}
+        return {pq: len(e) for pq, e in sorted(self.entries.items()) if e}
+
+    def reps(self, p, q) -> list:
+        """The representatives b_e at (p, q), vectors in C^{p+q}."""
+        return [dict_to_sparse(self.pairing.basis[p + q][e]) for e in self.entries.get((p, q), ())]
 
     def coordinates(self, p, q, vector):
-        """Coefficients of a cycle in the representative basis at (p, q), mod the denominator."""
-        e = self.entries[(p, q)]
-        x = class_coordinates(self.field, e.reps, e._den, vector)
-        if x is None:
-            raise EngineError("vector does not represent a class at this position")
-        return x
+        """Coefficients on the representatives at (p, q) of a vector of F^p
+        whose class lives on this page, by back-substitution on the b_e, latest
+        entry first, down to the entries above level p."""
+        s = p + q
+        levels, basis = self.pairing.levels[s], self.pairing.basis[s]
+        target, gap = self.pairing.target[s], self.pairing.gap[s]
+        w, x = dict(vector), {}
+        while w:
+            e = max(w, key=lambda e: (-levels[e], e))
+            if levels[e] > p:
+                break
+            if levels[e] < p or (e in target and gap[e] < self.r):
+                raise EngineError("vector does not represent a class at this position")
+            c = x[e] = w[e] / basis[e][e]
+            _sub_scaled(w, c, basis[e])
+        return tuple((k, x[e]) for k, e in enumerate(self.entries[(p, q)]) if e in x)
 
 
 @dataclass
@@ -195,81 +242,45 @@ class PagesReport:
         return all(a == b for a, b in self.convergence.values())
 
 
-def _page(fc: FilteredComplex, r: int):
-    """The page E_r of the spectral sequence."""
-    cx = fc.complex
-    entries = {}
-    for s in range(cx.top_degree + 1):
-        for p in range(fc.top_index + 1):
-            q = s - p
-            Fp = fc.space(s, p)
-            zr = Fp.intersect(fc.preimage(s, p + r))
-            b = fc.image(s - 1, p - r + 1).intersect(Fp) if s > 0 \
-                else Subspace.zero(cx.field, cx.dims[s])
-            den = fc.space(s, p + 1).add(b)
-            zd = zr.intersect(den)
-            reps = complete_basis(zd, zr.basis)
-            num = zr.add(fc.space(s, p + 1))
-            if len(reps) != num.dim - den.dim:
-                raise EngineError(f"page {r} at {(p, q)}: {len(reps)} representatives "
-                                  f"for a subquotient of dim {num.dim - den.dim}")
-            entries[(p, q)] = PageEntry(len(reps), reps, den)
-    return SpectralPage(r, cx.field, entries)
-
-
-def _page_differentials(fc: FilteredComplex, page: SpectralPage, r: int):
-    cx = fc.complex
-    for (p, q), e in page.entries.items():
+def _page(fc: FilteredComplex, pr: Pairing, r: int) -> SpectralPage:
+    """E_r: the coordinates unpaired or paired with gap >= r, each at its level,
+    and d_r the matching of the gap-r pairs."""
+    entries = {(p, s - p): [] for s in range(len(pr.levels)) for p in range(fc.top_level + 1)}
+    for s, levels in enumerate(pr.levels):
+        for e, level in enumerate(levels):
+            if pr.gap[s][e] is None or pr.gap[s][e] >= r:
+                entries[(level, s - level)].append(e)
+    field = fc.complex.field
+    diffs = {}
+    for (p, q), coords in entries.items():
         s = p + q
-        tgt = page.entries.get((p + r, q - r + 1))
-        tdim = tgt.dim if tgt else 0
-        if e.dim == 0 or tdim == 0:
-            page.diffs[(p, q)] = Matrix.zero(cx.field, tdim, e.dim)
-            continue
-        d = cx.diff(s)
-        page.diffs[(p, q)] = Matrix.from_columns(
-            cx.field, tdim, [page.coordinates(p + r, q - r + 1, d.apply(z)) for z in e.reps])
+        row = {c: k for k, c in enumerate(entries.get((p + r, q - r + 1), ()))}
+        diffs[(p, q)] = Matrix.from_columns(field, len(row), [
+            ((row[pr.target[s][c]], field.one),) if c in pr.target[s] and pr.gap[s][c] == r
+            else () for c in coords])
+    return SpectralPage(r, entries, diffs, pr)
 
 
 def spectral_pages(fc: FilteredComplex, r_max: int = 1):
-    """Pages E_1..E_{r_max}, the limit page, and a convergence report.
+    """Pages E_1..E_{r_max}, the limit page, and a convergence report, all read
+    off one persistence pairing.
 
-    The limit page is the page at the filtration-length bound T+1, past which
-    no differential can be nonzero; its antidiagonal totals must equal the
-    dims of H^n of the unfiltered complex.  Pages are built up to the bound
-    only: under the clamping every later page has the same Z_r and B_r, so it
-    is E_{T+1} again, with every differential leaving the filtration range.
+    The limit page E_infinity holds the unpaired coordinates; it is the page at
+    the bound T+1 for the top level T, and its antidiagonal totals must equal
+    the dims of H^n of the unfiltered complex.  Every page past the bound is
+    E_infinity again, with every differential leaving the filtration range.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     cx = fc.complex
-    bound = fc.top_index + 1
-    pages = [_page(fc, r) for r in range(1, bound + 1)]
-    for r, page in enumerate(pages, start=1):
-        _page_differentials(fc, page, r)
+    pr = _pairing(fc)
+    bound = fc.top_level + 1
+    pages = [_page(fc, pr, r) for r in range(1, bound + 1)]
     einf = pages[-1]
-    # d_r o d_r = 0 and the subquotient identity for the next page
-    for r, page in enumerate(pages, start=1):
-        for (p, q), m in page.diffs.items():
-            nxt = page.diffs.get((p + r, q - r + 1))
-            if nxt is not None and m.cols and nxt.rows:
-                if not nxt.mul(m).is_zero():
-                    raise EngineError(f"d_{r} o d_{r} != 0 at {(p, q)}")
-        if r < bound:
-            ranks = {pq: rank(m) for pq, m in page.diffs.items()}
-            for (p, q), e in page.entries.items():
-                in_rank = ranks.get((p - r, q + r - 1), 0)
-                if pages[r].dim(p, q) != e.dim - ranks[(p, q)] - in_rank:
-                    raise EngineError(f"subquotient identity fails at page {r}, {(p, q)}")
-    stable_at = bound
-    for r in range(bound - 1, 0, -1):
-        if pages[r - 1].dims() == einf.dims():
-            stable_at = r
-        else:
-            break
+    stable_at = 1 + max((pr.gap[s][j] for s, up in enumerate(pr.target) for j in up), default=0)
     convergence = {}
     for n in range(cx.top_degree + 1):
-        total = sum(einf.dim(p, n - p) for p in range(fc.top_index + 1))
+        total = sum(einf.dim(p, n - p) for p in range(bound))
         convergence[n] = (total, cx.cohomology(n).dim)
     report = PagesReport(stable_at, bound, convergence)
     if not report.converged:
@@ -312,25 +323,22 @@ def edge_maps(fc: FilteredComplex, e2: SpectralPage) -> EdgeMaps:
     h1, h2 = (cx.cohomology(i) if i <= cx.top_degree
               else Cohomology([], Subspace.zero(cx.field, 0), []) for i in (1, 2))
 
-    def entry(p, q):
-        return e2.entries.get((p, q), PageEntry(0, [], Subspace.zero(cx.field, cx.space_dim(p + q))))
-
-    e10, e01, e20 = entry(1, 0), entry(0, 1), entry(2, 0)
+    e10, e20, e01_dim = e2.reps(1, 0), e2.reps(2, 0), e2.dim(0, 1)
     d1 = cx.diff(1)
     d2m = cx.diff(2)
-    for z in e10.reps:
+    for z in e10:
         if d1.apply(z):
             raise EngineError("E2^{1,0} representative is not a cocycle; filtration is not first-quadrant")
-    for w in e20.reps:
+    for w in e20:
         if d2m.apply(w):
             raise EngineError("E2^{2,0} representative is not a cocycle; filtration is not first-quadrant")
 
     inflation1 = Matrix.from_columns(cx.field, h1.dim,
-                                     [_class_coordinates(cx.field, h1, z) for z in e10.reps])
-    restriction = Matrix.from_columns(cx.field, e01.dim, [e2.coordinates(0, 1, z) for z in h1.reps])
-    transgression = e2.diffs.get((0, 1), Matrix.zero(cx.field, e20.dim, e01.dim))
+                                     [_class_coordinates(cx.field, h1, z) for z in e10])
+    restriction = Matrix.from_columns(cx.field, e01_dim, [e2.coordinates(0, 1, z) for z in h1.reps])
+    transgression = e2.diffs.get((0, 1), Matrix.zero(cx.field, len(e20), e01_dim))
     inflation2 = Matrix.from_columns(cx.field, h2.dim,
-                                     [_class_coordinates(cx.field, h2, w) for w in e20.reps])
+                                     [_class_coordinates(cx.field, h2, w) for w in e20])
 
     for later, earlier, where in ((restriction, inflation1, "restriction o inflation"),
                                   (transgression, restriction, "transgression o restriction"),
@@ -340,10 +348,10 @@ def edge_maps(fc: FilteredComplex, e2: SpectralPage) -> EdgeMaps:
                 raise EngineError(f"five-term composition {where} is nonzero")
 
     exact = (
-        kernel_subspace(inflation1).dim == 0,
+        rank(inflation1) == inflation1.cols,
         image_subspace(inflation1).equals(kernel_subspace(restriction)),
         image_subspace(restriction).equals(kernel_subspace(transgression)),
         image_subspace(transgression).equals(kernel_subspace(inflation2)),
     )
-    node_dims = (e10.dim, h1.dim, e01.dim, e20.dim, h2.dim)
+    node_dims = (len(e10), h1.dim, e01_dim, len(e20), h2.dim)
     return EdgeMaps(inflation1, restriction, transgression, inflation2, node_dims, exact)

@@ -5,6 +5,8 @@ In the basis adapted to the splitting (kernel sections first), a coordinate
 q-form lies in filtration level p exactly when every tuple carrying a nonzero
 coordinate contains at least p quotient-block indices; this is the coordinate
 form of "annihilated by the wedge of q-p+1 kernel sections" for free modules.
+So the filtration is a level per coordinate: the level of the coordinate
+(T, mu) is the number of quotient-block indices in T.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .complexes import (EdgeMaps, FilteredComplex, SpectralPage, edge_maps,
 from .errors import (DimMismatch, ExactnessFailure, FiltrationNotPreserved,
                      IncompatibleFiltration)
 from .extensions import AdaptedExtension, ExtensionTriple, adapt, induced_q_rep_adapted
-from .linalg import Subspace, block_diagonal
+from .linalg import block_diagonal
 
 
 @dataclass
@@ -38,31 +40,17 @@ class HSFiltration:
 def hs_filtration(E: ExtensionTriple, R: Representation) -> HSFiltration:
     ad = adapt(E, R)
     ce = ce_complex(ad.L_ad, ad.R_ad)
-    cx = ce.complex
-    f = cx.field
     N = R.module.dim
     c, r = ad.c, ad.r
-    n = ad.L_ad.n
-    filtration = []
-    for s in range(n + 1):
-        tuples = ce.tuples[s]
-        chain = []
-        for p in range(r + 1):
-            vecs = []
-            for ti, T in enumerate(tuples):
-                q_count = sum(1 for t in T if t >= c)
-                if q_count >= p:
-                    vecs.extend(((ti * N + mu, f.one),) for mu in range(N))
-            chain.append(Subspace(f, cx.dims[s], vecs))
-        filtration.append(chain)
+    levels = [[sum(t >= c for t in T) for T in tuples for _ in range(N)] for tuples in ce.tuples]
     try:
-        filtered = FilteredComplex(cx, filtration)
+        filtered = FilteredComplex(ce.complex, levels)
     except IncompatibleFiltration as e:
         raise FiltrationNotPreserved(str(e)) from e
     graded = {}
-    for s in range(n + 1):
+    for s, lv in enumerate(levels):
         for p in range(r + 1):
-            got = filtered.space(s, p).dim - filtered.space(s, p + 1).dim
+            got = lv.count(p)
             expected = N * comb(r, p) * comb(c, s - p) if 0 <= s - p <= c else 0
             graded[(p, s)] = (got, expected)
             if got != expected:
@@ -88,11 +76,12 @@ class HSPages:
 
 
 def hs_pages(E: ExtensionTriple, R: Representation, r_max: int | None = None) -> HSPages:
-    """Pages E_1..E_{r_max} (default: through the stabilization bound); E_2 is
-    computed whatever r_max is."""
+    """Pages E_1..E_{r_max} (default: through the stabilization bound r + 1
+    for the quotient rank r, even when no coordinate reaches level r, as for
+    M = 0); E_2 is computed whatever r_max is."""
     hf = hs_filtration(E, R)
     if r_max is None:
-        r_max = hf.filtered.top_index + 1
+        r_max = hf.adapted.r + 1
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     pages, einf, report = spectral_pages(hf.filtered, max(r_max, 2))

@@ -412,13 +412,6 @@ class Subspace:
         ker = kernel_vectors(hstack(m, neg))
         return Subspace.span(self.field, m.cols, [sub_vector(k, 0, m.cols) for k in ker])
 
-    def image(self, m: Matrix) -> "Subspace":
-        """Image of this subspace under m (ambient = columns of m)."""
-        if m.cols != self.ambient_dim:
-            raise ValueError(f"image under a {m.rows}x{m.cols} matrix of a subspace "
-                             f"of k^{self.ambient_dim}")
-        return Subspace.span(self.field, m.rows, [m.apply(v) for v in self.basis])
-
 
 def image_subspace(m: Matrix) -> Subspace:
     """Column space of m, with the pivot columns of m as basis."""

@@ -4,10 +4,12 @@ Deliberately written against different machinery than the engine: the CE
 differential is assembled entry-by-entry from the defining formula with an
 explicit permutation-sign evaluator, and ranks come from sympy over Q or a
 local RREF over F_p.  Only the Lie-algebra case (A = k) is covered; that is
-what the classical expected values are frozen from.  `limit_page_dims` is the
-one exception: it evaluates the E_infinity formula with the engine's subspace
-calculus, straight from the cocycles and coboundaries of the complex, without
-going through any page.  The algebra product is evaluated here by dense loops
+what the classical expected values are frozen from.  The page oracles are the
+one exception: `subquotient_page_dims` evaluates the generic subquotient
+formula for E_r and `limit_page_dims` the E_infinity formula straight from the
+cocycles and coboundaries, both with the engine's subspace calculus on the
+coordinate subspaces F^p, where the engine reads pages off a persistence
+pairing.  The algebra product is evaluated here by dense loops
 over the structure constants (`mul_vec`), where the engine reads it off the
 regular module and the anchor representation.  The algebroid axioms are
 checked here on every k-basis pair and triple of the bracket's k-bilinear
@@ -19,6 +21,8 @@ from itertools import combinations, product
 from math import comb
 
 import sympy
+
+from rinehart.linalg import Subspace
 
 
 def perm_sign(p):
@@ -132,16 +136,47 @@ def rref_mod_p(rows, p):
     return m[:r], pivots
 
 
-def limit_page_dims(fc):
+def filtration_space(field, levels, p):
+    """F^p as a coordinate subspace: spanned by the coordinates of level >= p."""
+    return Subspace(field, len(levels), [((j, field.one),) for j, level in enumerate(levels)
+                                         if level >= p])
+
+
+def subquotient_page_dims(cx, levels, r):
+    """dim (F^p n d^{-1} F^{p+r} + F^{p+1}) / (F^{p+1} + d(F^{p-r+1}) n F^p)
+    at each (p, q) with a nonzero value, in total degree p + q, for the
+    filtration of the complex cx by coordinate levels."""
+    f = cx.field
+    lv = list(levels) + [()]
+    top = max((level for row in levels for level in row), default=0)
+    out = {}
+    for s in range(cx.top_degree + 1):
+        d = cx.diff(s)
+        for p in range(top + 1):
+            Fp, Fp1 = filtration_space(f, lv[s], p), filtration_space(f, lv[s], p + 1)
+            zr = Fp.intersect(filtration_space(f, lv[s + 1], p + r).preimage(d))
+            den = Fp1
+            if s > 0:
+                src = filtration_space(f, lv[s - 1], p - r + 1)
+                image = Subspace.span(f, cx.dims[s], [cx.diff(s - 1).apply(v) for v in src.basis])
+                den = Fp1.add(image.intersect(Fp))
+            dim = zr.add(Fp1).dim - den.dim
+            if dim:
+                out[(p, s - p)] = dim
+    return out
+
+
+def limit_page_dims(cx, levels):
     """dim (F^p n Z + F^{p+1}) / (F^{p+1} + B n F^p) at each (p, q) with a
-    nonzero value, where Z and B are the cocycles and coboundaries of the
-    filtered complex fc in total degree p + q."""
-    cx = fc.complex
+    nonzero value, where Z and B are the cocycles and coboundaries of cx in
+    total degree p + q, for the filtration by coordinate levels."""
+    f = cx.field
+    top = max((level for row in levels for level in row), default=0)
     out = {}
     for s in range(cx.top_degree + 1):
         h = cx.cohomology(s)
-        for p in range(fc.top_index + 1):
-            Fp, Fp1 = fc.space(s, p), fc.space(s, p + 1)
+        for p in range(top + 1):
+            Fp, Fp1 = filtration_space(f, levels[s], p), filtration_space(f, levels[s], p + 1)
             num = Fp.intersect(h.cocycles).add(Fp1)
             den = Fp1.add(h.coboundaries.intersect(Fp))
             if num.dim != den.dim:

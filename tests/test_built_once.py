@@ -1,5 +1,6 @@
 """Each artifact of a request is built once: the kernel and image behind each
-cohomology group, the Lie-morphism check of a representation, the products
+cohomology group, the reduction of each filtered differential behind the
+spectral pages, the Lie-morphism check of a representation, the products
 of the regular module and the symbol commutators, the action of each bracket
 coefficient, and the validation of the algebra and of the extension.
 Validating an algebroid forms no k-closure of its bracket and a number of
@@ -133,6 +134,33 @@ def test_pages_past_the_bound_reuse_the_limit_page(monkeypatch):
     assert code == 0, report
     assert sorted(report["results"]["pages"], key=int) == [str(r) for r in range(1, 7)]
     assert len(pages) == 3
+
+
+def test_hs_reduces_each_differential_once_and_forms_no_subspace_chain(monkeypatch):
+    from rinehart import linalg
+    reduced, filtered, subspace_calls = [], [], []
+    monkeypatch.setattr(complexes, "_reduce", recording(reduced)(complexes._reduce))
+    init = complexes.FilteredComplex.__init__
+
+    def record_filtered(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        filtered.append(self)
+
+    monkeypatch.setattr(complexes.FilteredComplex, "__init__", record_filtered)
+    for name in ("intersect", "preimage"):
+        def caller_recorded(self, *args, _fn=getattr(linalg.Subspace, name), _name=name):
+            subspace_calls.append((_name, sys._getframe(1).f_globals["__name__"]))
+            return _fn(self, *args)
+        monkeypatch.setattr(linalg.Subspace, name, caller_recorded)
+    report, code = cli.run("hs", parse(PROBLEMS / "ext_heis_center.json"))
+    assert code == 0, report
+    assert [call for call in subspace_calls
+            if call[1] in ("rinehart.complexes", "rinehart.hochschild")] == []
+    assert len(filtered) == 1
+    cx = filtered[0].complex
+    assert len(reduced) == cx.top_degree + 1
+    for d in cx.diffs:
+        assert sum(m is d for m in reduced) == 1
 
 
 def test_validation_forms_no_k_closure(monkeypatch):

@@ -180,11 +180,6 @@ def test_preimage_shape_mismatch_raises_value_error():
         Subspace.zero(QQ, 3).preimage(qmat([[1, 0], [0, 1]]))
 
 
-def test_image_shape_mismatch_raises_value_error():
-    with pytest.raises(ValueError, match="image"):
-        Subspace.full(QQ, 3).image(qmat([[1, 0], [0, 1]]))
-
-
 def test_quotient_dim_checks_its_representative_count(monkeypatch):
     from rinehart import linalg
     from rinehart.errors import EngineError

@@ -264,6 +264,16 @@ def test_hs_computes_the_pages_once(monkeypatch, options):
         assert list(report["results"]["pages"]) == ["1"]
 
 
+def test_hs_keeps_the_page_count_of_a_zero_dimensional_module():
+    # no cochains at all: the pages still run to the extension's bound r + 1
+    data = json.loads((PROBLEMS / "ext_heis_center.json").read_text())
+    data["module"] = {"dim": 0, "action": [[]], "rho": [[], [], []]}
+    report, code = run("hs", from_dict(data))
+    assert code == 0, report
+    assert list(report["results"]["pages"]) == ["1", "2", "3"]
+    assert report["results"]["stable_at"] == 1
+
+
 def run_edited(tmp_path, name, command, edit):
     data = json.loads((PROBLEMS / name).read_text())
     edit(data)
