@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 from .algebra import (AModule, AtiyahObject, FiniteAlgebra, Violation,
                       atiyah_object, derivation_space, endomorphism_space,
                       regular_module, validate_algebra)
-from .algebroid import (BracketTensor, LieRinehartAlgebroid, Representation,
-                        anchor_representation, build_bracket_tensor, invariants,
-                        trivial_representation, validate_algebroid,
-                        validate_representation)
+from .algebroid import (LieRinehartAlgebroid, Representation, anchor_representation,
+                        invariants, leibniz_bracket, trivial_representation,
+                        validate_algebroid, validate_representation)
 from .cecomplex import CEComplex, RepComplex, ce_complex, ce_dims, total_complex
 from .complexes import (CochainComplex, Cohomology, EdgeMaps, FilteredComplex,
                         SpectralPage, edge_maps, spectral_pages, total_cohomology_dims)

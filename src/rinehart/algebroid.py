@@ -6,12 +6,13 @@ derived from the declared data through the Leibniz rule
 
     [f s_i, g s_j] = f g [s_i, s_j] + f a(s_i)(g) s_j - g a(s_j)(f) s_i
 
-never input directly.  Validation checks antisymmetry, the Jacobi identity on
-every k-basis triple of that closure, and that the anchor is a morphism of
-k-Lie algebras.  The anchor makes A itself a representation of L, whose module
-is A's regular module (which checks the algebra axioms), so each anchor's
-Leibniz rule is that representation's symbol condition and the morphism check
-is its flatness check.
+never input directly: brackets of k-vectors other than the declared sections
+come from `leibniz_bracket`, and no table of them is stored.  Validation
+checks antisymmetry, the Jacobi identity and that the anchor is a morphism of
+k-Lie algebras, on every k-basis pair or triple.  The anchor makes A itself a
+representation of L, whose module is A's regular module (which checks the
+algebra axioms), so each anchor's Leibniz rule is that representation's
+symbol condition and the morphism check is its flatness check.
 
 The structure maps are A-multilinear up to anchor terms, so each defect is a
 tensor on the A-basis s_1..s_n, spread to the k-basis e_a s_i by products in
@@ -68,7 +69,6 @@ class LieRinehartAlgebroid:
                                             if any(v))
                               for i, plane in enumerate(self.bracket)
                               for j, row in enumerate(plane)}
-        self._tensor = None
         self._anchor_rep = None
 
     @property
@@ -91,50 +91,38 @@ class LieRinehartAlgebroid:
         return block_diagonal(regular_module(self.algebra).action[b], self.n)
 
 
-@dataclass
-class BracketTensor:
-    """The k-bilinear closure of the bracket: table[u][v] is [b_u, b_v] as a
-    sparse vector in k-coordinates."""
-    field: object
-    dim: int
-    table: list
+def leibniz_bracket(L: LieRinehartAlgebroid, x, y) -> tuple:
+    """[x, y] for sparse k-vectors x = sum f_i s_i and y = sum g_j s_j of L:
 
-    def of_basis(self, u, v):
-        return self.table[u][v]
+        sum f_i g_j B_ij + sum_u x_u e_a a_i(g_j) s_j - sum_v y_v e_b a_j(f_i) s_i
 
-    def of_vectors(self, x, y):
-        """[x, y] for sparse k-vectors x and y."""
-        out = {}
-        for u, xu in x:
-            for v, yv in y:
-                _add(out, self.table[u][v], xu * yv)
-        return dict_to_sparse(out)
-
-
-def build_bracket_tensor(L: LieRinehartAlgebroid) -> BracketTensor:
-    """Expand the declared A-basis bracket to the whole k-basis via Leibniz.
-
-    The coefficient e_a e_b [s_i, s_j]_l is act(e_a e_b) applied to the
-    declared one, and the term e_a a(s_i)(e_b) is column b of the anchor
-    representation's action of e_a s_i.
-    """
-    if L._tensor is not None:
-        return L._tensor
+    over u = e_a s_i in x and v = e_b s_j in y.  Each term is bilinear in (x, y)
+    with the products in A taken in the order of the Leibniz rule on the
+    k-basis, so this is its k-bilinear closure for any algebra and anchors."""
+    m, B = L.m, L.bracket_terms
     A = anchor_representation(L)
-    prods = [[A.module.act_vec(ab) for ab in row] for row in L.algebra.sparse_mult]
-    leibniz = [hat.transpose().data for hat in A.basis_actions]   # column b: e_a a(s_i)(e_b)
-    size = L.kdim
-    table = [[None] * size for _ in range(size)]
-    for i, a, j, b in product(range(L.n), range(L.m), range(L.n), range(L.m)):
-        out = {}
-        for l, x in L.bracket_terms[i, j]:
-            _add(out, ((L.kindex(l, t), c) for t, c in prods[a][b].apply(x)))
-        # + e_a a(s_i)(e_b) s_j  -  e_b a(s_j)(e_a) s_i
-        _add(out, ((L.kindex(j, t), c) for t, c in leibniz[L.kindex(i, a)][b]))
-        _add(out, ((L.kindex(i, t), c) for t, c in leibniz[L.kindex(j, b)][a]), -L.field.one)
-        table[L.kindex(i, a)][L.kindex(j, b)] = dict_to_sparse(out)
-    L._tensor = BracketTensor(L.field, size, table)
-    return L._tensor
+    act, hats = A.module.action, A.basis_actions
+    f, g = _sections(m, x), _sections(m, y)
+    out = {}
+    for i, fi in f.items():
+        for j, gj in g.items():
+            if B[i, j]:
+                fg = _times(act, fi, gj)
+                _add(out, _flat(m, ((l, _times(act, fg, c)) for l, c in B[i, j])))
+    for u, xu in x:
+        _add(out, _flat(m, ((j, hats[u].apply(gj)) for j, gj in g.items())), xu)
+    for v, yv in y:
+        _add(out, _flat(m, ((i, hats[v].apply(fi)) for i, fi in f.items())), -yv)
+    return dict_to_sparse(out)
+
+
+def _sections(m, v) -> dict:
+    """The A-coordinates {i: f_i} of the sparse k-vector v = sum f_i s_i, each f_i
+    a sparse element of A."""
+    out = {}
+    for t, x in v:
+        out.setdefault(t // m, []).append((t % m, x))
+    return out
 
 
 def validate_algebroid(L: LieRinehartAlgebroid) -> list[Violation]:
@@ -371,13 +359,12 @@ def _failing_pairs(L: LieRinehartAlgebroid, R: Representation) -> list:
 
 
 def _k_pair_loop(L: LieRinehartAlgebroid, R: Representation) -> list:
-    """_failing_pairs by comparing every pair u < v on the k-closure."""
-    t = build_bracket_tensor(L)
-    hats = R.basis_actions
+    """_failing_pairs by comparing every pair u < v of the k-basis."""
+    hats, one = R.basis_actions, L.field.one
     out = []
     for u, v in combinations(range(L.kdim), 2):
         comm = hats[u].mul(hats[v]).sub(hats[v].mul(hats[u]))
-        if R.rho_of_vector(L, t.of_basis(u, v)) != comm:
+        if R.rho_of_vector(L, leibniz_bracket(L, ((u, one),), ((v, one),))) != comm:
             out.append((u, v))
     return out
 

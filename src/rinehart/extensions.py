@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .algebra import AModule, Violation, regular_module
 from .algebroid import (LieRinehartAlgebroid, Representation, anchor_representation,
-                        bracket_actions, build_bracket_tensor, validate_algebroid,
+                        bracket_actions, leibniz_bracket, validate_algebroid,
                         validate_representation)
 from .cecomplex import CEComplex, ce_complex, koszul_terms
 from .complexes import Cohomology
@@ -106,14 +106,15 @@ def validate_extension(E: ExtensionTriple) -> list[Violation]:
             out.append(Violation("kernel-anchor-nonzero", (i,)))
     # iota and pi preserve anchors and brackets; column u of a map is the image of b_u
     for name, S, T, mat in (("iota", K, L, im), ("pi", L, Q, pm)):
-        tS, tT = build_bracket_tensor(S), build_bracket_tensor(T)
         aS, aT = anchor_representation(S), anchor_representation(T)
+        units = [((u, f.one),) for u in range(S.kdim)]
         cols = [mat.column(u) for u in range(S.kdim)]
         for u in range(S.kdim):
             if aT.rho_of_vector(T, cols[u]) != aS.basis_actions[u]:
                 out.append(Violation(f"{name}-anchor", (u,)))
             for v in range(u + 1, S.kdim):
-                if mat.apply(tS.of_basis(u, v)) != tT.of_vectors(cols[u], cols[v]):
+                if mat.apply(leibniz_bracket(S, units[u], units[v])) != \
+                        leibniz_bracket(T, cols[u], cols[v]):
                     out.append(Violation(f"{name}-bracket", (u, v)))
     comp = pm.mul(sm)
     if not comp.sub(Matrix.identity(f, Q.kdim)).is_zero():
@@ -164,14 +165,13 @@ def adapt(E: ExtensionTriple, R: Representation) -> AdaptedExtension:
             raise EngineError("inverse change of basis is not A-linear")
     kvecs = [tuple((L.kindex(l, a), x) for l in range(n) for a, x in enumerate(new_acoords[t][l])
                    if x) for t in range(n)]
-    tL = build_bracket_tensor(L)
     anchors_ad = [anchor_representation(L).rho_of_vector(L, v) for v in kvecs]
     rho_ad = [R.rho_of_vector(L, v) for v in kvecs]
     bracket_ad = []
     for i in range(n):
         plane = []
         for j in range(n):
-            w = tL.of_vectors(kvecs[i], kvecs[j])
+            w = leibniz_bracket(L, kvecs[i], kvecs[j])
             plane.append(L.k_to_acoords(T_inv.apply(w)))
         bracket_ad.append(plane)
     L_ad = LieRinehartAlgebroid(alg, n, anchors_ad, bracket_ad)

@@ -45,7 +45,9 @@ def _parse_scalar(field, x, where):
 def _parse_vector(field, data, length, where):
     _expect(isinstance(data, list) and len(data) == length,
             f"{where} must be a list of length {length}")
-    return tuple(_parse_scalar(field, x, f"{where}[{i}]") for i, x in enumerate(data))
+    # a JSON 0 is the one scalar that needs no parsing (false and 0.0 are refused)
+    return tuple(field.zero if type(x) is int and x == 0
+                 else _parse_scalar(field, x, f"{where}[{i}]") for i, x in enumerate(data))
 
 
 def _parse_matrix(field, data, rows, cols, where):

@@ -313,6 +313,18 @@ def bracket_table(L):
     return table
 
 
+def bracket_of_vectors(table, x, y):
+    """[x, y] for sparse k-vectors x and y, expanded bilinearly over every
+    pair of their nonzeros in table = bracket_table(L), as a sparse vector."""
+    acc = {}
+    for u, xu in x:
+        for v, yv in y:
+            for k, c in enumerate(table[u][v]):
+                if c:
+                    acc[k] = acc[k] + xu * yv * c if k in acc else xu * yv * c
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
+
+
 # -- exhaustive reference for the algebroid axioms, on every k-basis pair and triple --
 
 def alternating_violations(L, table):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from rinehart import catalog
-from rinehart.algebroid import (build_bracket_tensor, invariants, trivial_representation,
+from rinehart.algebroid import (invariants, leibniz_bracket, trivial_representation,
                                 validate_algebroid, validate_representation)
 from rinehart.fields import QQ
 from rinehart.linalg import dense_to_sparse
@@ -29,37 +29,38 @@ def test_bad_flatness_detected():
     assert any(v.axiom == "flatness" for v in validate_representation(L, rep))
 
 
+def unit(u):
+    return ((u, QQ.one),)
+
+
 def test_bracket_tensor_base_field_case():
-    # A = k: the tensor is just the declared structure constants
-    entry = catalog.sl2()
-    t = build_bracket_tensor(entry.algebroid)
-    assert t.of_basis(0, 1) == ((2, Fraction(1)),)  # [e,f] = h
-    assert t.of_basis(2, 0) == ((0, Fraction(2)),)  # [h,e] = 2e
+    # A = k: the bracket is just the declared structure constants
+    L = catalog.sl2().algebroid
+    assert leibniz_bracket(L, unit(0), unit(1)) == ((2, Fraction(1)),)  # [e,f] = h
+    assert leibniz_bracket(L, unit(2), unit(0)) == ((0, Fraction(2)),)  # [h,e] = 2e
 
 
 def test_bracket_tensor_leibniz_term():
     # fat point, rank 1: [s, x s] = a(s)(x) s = x s
     entry = catalog.fatpoint_rank1()
     L = entry.algebroid
-    t = build_bracket_tensor(L)
     s = L.kindex(0, 0)
     xs = L.kindex(0, 1)
-    vec = t.of_basis(s, xs)
+    vec = leibniz_bracket(L, unit(s), unit(xs))
     assert vec == ((xs, Fraction(1)),)
 
 
 def test_bracket_tensor_zero_anchor_is_bilinear():
     entry = catalog.split_example()
     L = entry.algebroid
-    t = build_bracket_tensor(L)
     act = [L.algebra_action_on_sections(b) for b in range(L.m)]
     for b in range(L.m):
         for u in range(L.kdim):
-            eu = ((u, QQ.one),)
+            eu = unit(u)
             for v in range(L.kdim):
-                ev = ((v, QQ.one),)
-                lhs = t.of_vectors(act[b].apply(eu), ev)
-                rhs = act[b].apply(t.of_vectors(eu, ev))
+                ev = unit(v)
+                lhs = leibniz_bracket(L, act[b].apply(eu), ev)
+                rhs = act[b].apply(leibniz_bracket(L, eu, ev))
                 assert lhs == rhs
 
 

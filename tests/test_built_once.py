@@ -3,10 +3,12 @@ cohomology group, the reduction of each filtered differential behind the
 spectral pages, the Lie-morphism check of a representation, the products
 of the regular module and the symbol commutators, the action of each bracket
 coefficient, and the validation of the algebra and of the extension.
-Validating an algebroid forms no k-closure of its bracket and a number of
-matrix products set by the A-basis, and a report formats only the nonzero
-entries of its vectors."""
+Validating a valid algebroid brackets no pair of k-vectors and makes a number
+of matrix products set by the A-basis, parsing builds a field element only
+for a nonzero scalar, and a report formats only the nonzero entries of its
+vectors."""
 
+import json
 import sys
 from collections import Counter
 from itertools import product
@@ -164,11 +166,28 @@ def test_hs_reduces_each_differential_once_and_forms_no_subspace_chain(monkeypat
 
 
 def test_validation_forms_no_k_closure(monkeypatch):
-    tensors = []
-    patch_everywhere(monkeypatch, algebroid, "build_bracket_tensor", recording(tensors))
+    brackets, loops = [], []
+    patch_everywhere(monkeypatch, algebroid, "leibniz_bracket", recording(brackets))
+    patch_everywhere(monkeypatch, algebroid, "_k_pair_loop", recording(loops))
     report, code = cli.run("cohomology", parse(PROBLEMS / "fatpoint_rank2.json"))
     assert code == 0, report
-    assert tensors == []
+    assert brackets == loops == []
+
+
+def test_parsing_builds_field_elements_of_nonzero_scalars_only(monkeypatch):
+    path = PROBLEMS / "fatpoint_rank2.json"
+    data = json.loads(path.read_text())
+    assert data.keys() == {"field", "algebra", "algebroid"}
+    blocks = [data["algebra"]["unit"], data["algebra"]["mult"], data["algebroid"]["anchor"],
+              data["algebroid"]["bracket"]]
+
+    def nonzero(node):
+        return sum(map(nonzero, node)) if isinstance(node, list) else int(node != 0)
+
+    calls = []
+    monkeypatch.setattr(Field, "parse", recording(calls)(Field.parse))
+    parse(path)
+    assert 0 < len(calls) <= sum(map(nonzero, blocks))
 
 
 def fat_point(j, rank):

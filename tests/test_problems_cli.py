@@ -323,3 +323,13 @@ def test_cohomology_builds_the_regular_module_once(monkeypatch):
     _, code = run("cohomology", parse(PROBLEMS / "fatpoint_rank2.json"))
     assert code == 0
     assert len(modules) == 1
+
+
+# a JSON 0 skips scalar parsing; a zero of any other type is still refused
+@pytest.mark.parametrize("value", [0.0, False])
+def test_inexact_zero_in_the_bracket_is_located_input_error(tmp_path, capsys, value):
+    code = run_edited(tmp_path, "fatpoint_rank2.json", "validate",
+                      _set(("algebroid", "bracket", 0, 1, 0, 1), value))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and "algebroid.bracket[0][1][0][1]" in err

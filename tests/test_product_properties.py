@@ -1,7 +1,8 @@
 """The algebra axioms, the anchors' Leibniz rule and the k-bilinear bracket
 are read off A's regular module and the anchor representation.  On random
 structure tables over Q, F_2 and F_3, valid or not, with dim A <= 4 and
-rank <= 2, they must agree with the dense product loops of oracles.py."""
+rank <= 2, they must agree with the dense product loops of oracles.py: the
+bracket of every pair of k-basis elements, and of random sparse k-vectors."""
 
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import algebra_violations, bracket_table, dense_vector, is_derivation
+from oracles import (algebra_violations, bracket_of_vectors, bracket_table, dense_vector,
+                     is_derivation)
 from rinehart.algebra import FiniteAlgebra, derivation_space, matrix_from_flat, validate_algebra
-from rinehart.algebroid import LieRinehartAlgebroid, build_bracket_tensor, validate_algebroid
+from rinehart.algebroid import LieRinehartAlgebroid, leibniz_bracket, validate_algebroid
 from rinehart.fields import GF, QQ
 from rinehart.linalg import dense_to_sparse
 
@@ -83,5 +85,22 @@ def test_product_checks_match_the_dense_loops(f, data):
     assert [(v.axiom, v.indices) for v in validate_algebra(A)] == algebra_violations(A)
     failing = [v.indices for v in validate_algebroid(L) if v.axiom == "anchor-derivation"]
     assert failing == [(i,) for i, d in enumerate(L.anchors) if not is_derivation(A, d)]
-    assert build_bracket_tensor(L).table == [[dense_to_sparse(v) for v in row]
-                                             for row in bracket_table(L)]
+    one = L.field.one
+    assert [[leibniz_bracket(L, ((u, one),), ((v, one),)) for v in range(L.kdim)]
+            for u in range(L.kdim)] == [[dense_to_sparse(v) for v in row]
+                                        for row in bracket_table(L)]
+
+
+def k_vectors(f, size):
+    """Sparse vectors of length size with 0 to 4 nonzeros."""
+    return st.dictionaries(st.integers(0, size - 1), entries(f).filter(bool),
+                           max_size=4).map(lambda d: tuple(sorted(d.items())))
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.describe())
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_leibniz_bracket_of_sparse_vectors_matches_the_bilinear_expansion(f, data):
+    L = data.draw(algebroids(f))
+    x, y = data.draw(k_vectors(f, L.kdim)), data.draw(k_vectors(f, L.kdim))
+    assert leibniz_bracket(L, x, y) == bracket_of_vectors(bracket_table(L), x, y)
