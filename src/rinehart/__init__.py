@@ -28,7 +28,7 @@ from .fields import GF, QQ, Field
 from .hochschild import (HSFiltration, HSPages, check_e1, check_e2, five_term,
                          hs_filtration, hs_pages, hs_report)
 from .linalg import (Matrix, Subspace, image_subspace, kernel_subspace,
-                     kernel_vectors, quotient_dim, rank, solve)
+                     kernel_vectors, rank, solve)
 from .problems import ProblemFile, canonical_json, parse, problem_hash, to_dict
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,16 +21,15 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import ConstructionInconsistent, DegreeOutOfRange, EngineError, IncompatibleFiltration
-from .linalg import (Matrix, Subspace, _sub_scaled, class_coordinates, complete_basis,
-                     dict_to_sparse, image_subspace, kernel_subspace, kernel_vectors, rank)
+from .linalg import (Matrix, RowBasis, Subspace, _sub_scaled, complete_basis, dict_to_sparse,
+                     echelon, rank)
 
 
 @dataclass
 class Cohomology:
-    """H^i = Z / B in one degree: the kernel vectors of d_i (a basis of the
-    cocycles Z), the coboundaries B = im d_{i-1}, and the representatives, the
-    kernel vectors that extend a basis of B to one of Z."""
-    kernel: list
+    """H^i = Z / B in one degree: the coboundaries B = im d_{i-1} and the
+    representatives, the kernel vectors of d_i that extend a basis of B to one
+    of the cocycles Z."""
     coboundaries: Subspace
     reps: list
 
@@ -39,10 +38,29 @@ class Cohomology:
         return len(self.reps)
 
     @cached_property
-    def cocycles(self) -> Subspace:
-        """Z as a subspace, eliminated only when membership is asked for."""
+    def _tagged(self) -> RowBasis:
+        """B's basis, then each representative z_k tagged with a unit at n + k
+        past the ambient dimension n, eliminated on first use.  Z maps onto the
+        span's first n coordinates one to one, so every pivot lies below n."""
         B = self.coboundaries
-        return Subspace(B.field, B.ambient_dim, self.kernel)
+        n, one = B.ambient_dim, B.field.one
+        rows = RowBasis(B.field, n + self.dim)
+        for v in B.basis:
+            rows.add(v)
+        for k, z in enumerate(self.reps):
+            rows.add(z + ((n + k, one),))
+        return rows
+
+    def coordinates(self, v):
+        """Coefficients of the class of v on the representatives, or None when
+        v is not a cocycle, by one reduction: v = b + sum c_k z_k leaves
+        -sum c_k e_{n+k}, and anything left below n puts v outside Z.  A
+        coboundary has the coordinates ()."""
+        n = self.coboundaries.ambient_dim
+        w = self._tagged.reduce(v)
+        if any(j < n for j in w):
+            return None
+        return tuple(sorted((j - n, -x) for j, x in w.items()))
 
 
 class CochainComplex:
@@ -62,6 +80,7 @@ class CochainComplex:
             for i in range(len(self.diffs) - 1):
                 if not self.diffs[i + 1].mul(self.diffs[i]).is_zero():
                     raise ConstructionInconsistent(f"d_{i + 1} d_{i} != 0")
+        self._echelons = {}
         self._cohomology = {}
 
     @property
@@ -79,6 +98,13 @@ class CochainComplex:
             return self.diffs[i]
         return Matrix.zero(self.field, self.space_dim(i + 1), self.space_dim(i))
 
+    def echelon(self, i) -> RowBasis:
+        """The reduced row echelon basis of the rows of d_i, eliminated once
+        per degree."""
+        if i not in self._echelons:
+            self._echelons[i] = echelon(self.diff(i))
+        return self._echelons[i]
+
     def cohomology(self, i) -> Cohomology:
         """H^i, computed once per degree."""
         if i not in self._cohomology:
@@ -90,9 +116,12 @@ def cohomology_at(c: CochainComplex, i: int) -> Cohomology:
     """H^i computed afresh; read it through c.cohomology(i), which keeps it."""
     if not (0 <= i <= c.top_degree):
         raise DegreeOutOfRange(f"degree {i} outside 0..{c.top_degree}")
-    ker = kernel_vectors(c.diff(i))
-    im = image_subspace(c.diff(i - 1)) if i > 0 else Subspace.zero(c.field, c.dims[i])
-    return Cohomology(ker, im, complete_basis(im, ker))
+    if i == 0:
+        im = Subspace.zero(c.field, c.dims[0])
+    else:
+        d = c.diffs[i - 1]
+        im = Subspace(c.field, c.dims[i], [d.column(j) for j in c.echelon(i - 1).pivots()])
+    return Cohomology(im, complete_basis(im, c.echelon(i).kernel()))
 
 
 def total_cohomology_dims(c: CochainComplex):
@@ -304,13 +333,6 @@ class EdgeMaps:
         return all(self.exact)
 
 
-def _class_coordinates(field, h: Cohomology, vector):
-    x = class_coordinates(field, h.reps, h.coboundaries, vector)
-    if x is None:
-        raise EngineError("vector is not a cocycle of the expected class group")
-    return x
-
-
 def edge_maps(fc: FilteredComplex, e2: SpectralPage) -> EdgeMaps:
     """Explicit matrices of the five-term sequence, plus exactness certificates,
     from the E_2 page e2 of fc.
@@ -321,7 +343,7 @@ def edge_maps(fc: FilteredComplex, e2: SpectralPage) -> EdgeMaps:
     """
     cx = fc.complex
     h1, h2 = (cx.cohomology(i) if i <= cx.top_degree
-              else Cohomology([], Subspace.zero(cx.field, 0), []) for i in (1, 2))
+              else Cohomology(Subspace.zero(cx.field, 0), []) for i in (1, 2))
 
     e10, e20, e01_dim = e2.reps(1, 0), e2.reps(2, 0), e2.dim(0, 1)
     d1 = cx.diff(1)
@@ -333,25 +355,21 @@ def edge_maps(fc: FilteredComplex, e2: SpectralPage) -> EdgeMaps:
         if d2m.apply(w):
             raise EngineError("E2^{2,0} representative is not a cocycle; filtration is not first-quadrant")
 
-    inflation1 = Matrix.from_columns(cx.field, h1.dim,
-                                     [_class_coordinates(cx.field, h1, z) for z in e10])
+    # every cocycle has class coordinates: B and the representatives span Z
+    inflation1 = Matrix.from_columns(cx.field, h1.dim, [h1.coordinates(z) for z in e10])
     restriction = Matrix.from_columns(cx.field, e01_dim, [e2.coordinates(0, 1, z) for z in h1.reps])
     transgression = e2.diffs.get((0, 1), Matrix.zero(cx.field, len(e20), e01_dim))
-    inflation2 = Matrix.from_columns(cx.field, h2.dim,
-                                     [_class_coordinates(cx.field, h2, w) for w in e20])
+    inflation2 = Matrix.from_columns(cx.field, h2.dim, [h2.coordinates(w) for w in e20])
 
     for later, earlier, where in ((restriction, inflation1, "restriction o inflation"),
                                   (transgression, restriction, "transgression o restriction"),
                                   (inflation2, transgression, "inflation o transgression")):
-        if later.cols == earlier.rows and earlier.cols and later.rows:
-            if not later.mul(earlier).is_zero():
-                raise EngineError(f"five-term composition {where} is nonzero")
+        if not later.mul(earlier).is_zero():
+            raise EngineError(f"five-term composition {where} is nonzero")
 
-    exact = (
-        rank(inflation1) == inflation1.cols,
-        image_subspace(inflation1).equals(kernel_subspace(restriction)),
-        image_subspace(restriction).equals(kernel_subspace(transgression)),
-        image_subspace(transgression).equals(kernel_subspace(inflation2)),
-    )
+    # each composition is zero, so image = kernel at a node X iff the ranks of
+    # the maps into and out of X add up to dim X
+    r1, rr, rt, r2 = map(rank, (inflation1, restriction, transgression, inflation2))
+    exact = (r1 == len(e10), r1 + rr == h1.dim, rr + rt == e01_dim, rt + r2 == len(e20))
     node_dims = (len(e10), h1.dim, e01_dim, len(e20), h2.dim)
     return EdgeMaps(inflation1, restriction, transgression, inflation2, node_dims, exact)

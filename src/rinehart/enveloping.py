@@ -218,9 +218,10 @@ class TruncatedEnveloping:
         """Deterministic multiplication table: expanded within the cutoff,
         overflow-flagged beyond it."""
         out = {}
+        degrees = [self.degree(mono) for mono in self.basis]
         for i1, m1 in enumerate(self.basis):
             for i2, m2 in enumerate(self.basis):
-                if self.degree(m1) + self.degree(m2) <= self.cutoff:
+                if degrees[i1] + degrees[i2] <= self.cutoff:
                     elem, ov = self.mul_mono(m1, m2)
                     terms = sorted(((self.index[mono], c) for mono, c in elem.items()))
                     out[(i1, i2)] = {"overflow": ov, "terms": terms}

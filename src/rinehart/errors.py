@@ -5,10 +5,6 @@ class EngineError(Exception):
     """Base class for all engine failures."""
 
 
-class NotASubspace(EngineError):
-    pass
-
-
 class DegreeOutOfRange(EngineError):
     pass
 

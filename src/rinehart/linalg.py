@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import EngineError, NotASubspace
 from .fields import Field
 
 
@@ -259,6 +258,19 @@ class RowBasis:
         self.rows[c] = w
         return True
 
+    def kernel(self) -> list:
+        """Basis of the null space of a matrix whose rows span this basis: for
+        each free column j, the unit vector at j with -row[j] at the pivot of
+        each echelon row, read straight off the RREF rows (a pivot precedes
+        every free column of its row)."""
+        free = {j: [] for j in range(self.n) if j not in self.rows}
+        for c in self.pivots():
+            for j, x in self.rows[c].items():
+                if j != c:
+                    free[j].append((c, -x))
+        unit = self.field.one
+        return [tuple(pairs) + ((j, unit),) for j, pairs in free.items()]
+
 
 def echelon(m: Matrix) -> RowBasis:
     """Reduced row echelon basis of the row space of m."""
@@ -281,17 +293,8 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_vectors(m: Matrix):
-    """Basis of the null space {v : m v = 0}: for each free column j, the unit
-    vector at j with -row[j] at the pivot of each echelon row, read straight
-    off the RREF rows (a pivot precedes every free column of its row)."""
-    basis = echelon(m)
-    free = {j: [] for j in range(m.cols) if j not in basis.rows}
-    for c in basis.pivots():
-        for j, x in basis.rows[c].items():
-            if j != c:
-                free[j].append((c, -x))
-    unit = m.field.one
-    return [tuple(pairs) + ((j, unit),) for j, pairs in free.items()]
+    """Basis of the null space {v : m v = 0}, see RowBasis.kernel."""
+    return echelon(m).kernel()
 
 
 def solve(m: Matrix, b):
@@ -300,15 +303,6 @@ def solve(m: Matrix, b):
     if m.cols in aug.rows:
         return None
     return tuple((c, aug.rows[c][m.cols]) for c in aug.pivots() if m.cols in aug.rows[c])
-
-
-def class_coordinates(field, reps, den: "Subspace", vector):
-    """Coefficients of vector on reps modulo den: solves [reps | den basis] x = vector
-    and keeps x on the reps; () when both are empty, None when there is no solution."""
-    if not reps and not den.basis:
-        return ()
-    x = solve(Matrix.from_columns(field, den.ambient_dim, list(reps) + den.basis), vector)
-    return None if x is None else sub_vector(x, 0, len(reps))
 
 
 class Subspace:
@@ -428,14 +422,3 @@ def complete_basis(base: Subspace, candidates) -> list:
     rows = base._rows.copy()
     return [v for v in candidates if rows.add(v)]
 
-
-def quotient_dim(V: Subspace, W: Subspace):
-    """dim V/W plus coset representatives; W must be contained in V."""
-    for v in W.basis:
-        if not V.contains(v):
-            raise NotASubspace("W has a basis vector outside span(V)")
-    reps = complete_basis(W, V.basis)
-    if len(reps) != V.dim - W.dim:
-        raise EngineError(f"{len(reps)} coset representatives for a quotient "
-                          f"of dim {V.dim - W.dim}")
-    return V.dim - W.dim, reps

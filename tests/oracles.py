@@ -7,13 +7,15 @@ local RREF over F_p.  Only the Lie-algebra case (A = k) is covered; that is
 what the classical expected values are frozen from.  The page oracles are the
 one exception: `subquotient_page_dims` evaluates the generic subquotient
 formula for E_r and `limit_page_dims` the E_infinity formula straight from the
-cocycles and coboundaries, both with the engine's subspace calculus on the
-coordinate subspaces F^p, where the engine reads pages off a persistence
-pairing.  The algebra product is evaluated here by dense loops
-over the structure constants (`mul_vec`), where the engine reads it off the
-regular module and the anchor representation.  The algebroid axioms are
-checked here on every k-basis pair and triple of the bracket's k-bilinear
-closure, where the engine reads tensors on the A-basis.
+kernel of each d_s and the span of the columns of d_{s-1}, both with the
+engine's subspace calculus on the coordinate subspaces F^p, where the engine
+reads pages off a persistence pairing; `five_term_exactness` compares images
+and kernels as subspaces, where the engine adds ranks.  The algebra product
+is evaluated here by dense loops over the structure constants (`mul_vec`),
+where the engine reads it off the regular module and the anchor
+representation.  The algebroid axioms are checked here on every k-basis pair
+and triple of the bracket's k-bilinear closure, where the engine reads tensors
+on the A-basis.
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ from math import comb
 
 import sympy
 
-from rinehart.linalg import Subspace
+from rinehart.linalg import Subspace, image_subspace, kernel_subspace, kernel_vectors, rank
 
 
 def perm_sign(p):
@@ -174,14 +176,25 @@ def limit_page_dims(cx, levels):
     top = max((level for row in levels for level in row), default=0)
     out = {}
     for s in range(cx.top_degree + 1):
-        h = cx.cohomology(s)
+        Z = Subspace(f, cx.dims[s], kernel_vectors(cx.diff(s)))
+        B = Subspace.span(f, cx.dims[s], [cx.diff(s - 1).column(j) for j in range(cx.dims[s - 1])]
+                          if s > 0 else [])
         for p in range(top + 1):
             Fp, Fp1 = filtration_space(f, levels[s], p), filtration_space(f, levels[s], p + 1)
-            num = Fp.intersect(h.cocycles).add(Fp1)
-            den = Fp1.add(h.coboundaries.intersect(Fp))
+            num = Fp.intersect(Z).add(Fp1)
+            den = Fp1.add(B.intersect(Fp))
             if num.dim != den.dim:
                 out[(p, s - p)] = num.dim - den.dim
     return out
+
+
+def five_term_exactness(em):
+    """Exactness of the five-term sequence of edge maps em at its four interior
+    nodes: injectivity at E2^{1,0}, then image = kernel compared as subspaces,
+    where the engine adds the ranks of two maps whose composition is zero."""
+    maps = (em.inflation1, em.restriction, em.transgression, em.inflation2)
+    return (rank(maps[0]) == maps[0].cols,) + tuple(
+        image_subspace(a).equals(kernel_subspace(b)) for a, b in zip(maps, maps[1:]))
 
 
 # -- dense reference for linalg.Matrix: lists of row lists, every entry visited --

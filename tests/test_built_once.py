@@ -1,12 +1,12 @@
-"""Each artifact of a request is built once: the kernel and image behind each
-cohomology group, the reduction of each filtered differential behind the
-spectral pages, the Lie-morphism check of a representation, the products
-of the regular module and the symbol commutators, the action of each bracket
-coefficient, and the validation of the algebra and of the extension.
+"""Each artifact of a request is built once: the echelon of each differential
+behind the cohomology groups, the reduction of each filtered differential
+behind the spectral pages, the Lie-morphism check of a representation, the
+products of the regular module and the symbol commutators, the action of each
+bracket coefficient, and the validation of the algebra and of the extension.
 Validating a valid algebroid brackets no pair of k-vectors and makes a number
 of matrix products set by the A-basis, parsing builds a field element only
-for a nonzero scalar, and a report formats only the nonzero entries of its
-vectors."""
+for a nonzero scalar, the enveloping table reads each basis degree once, and
+a report formats only the nonzero entries of its vectors."""
 
 import json
 import sys
@@ -46,26 +46,46 @@ def recording(calls):
     return make
 
 
-def test_one_kernel_and_one_image_per_complex_and_degree_in_hs(monkeypatch):
-    from rinehart import linalg
-    built, kernels, images = [], [], []
+def recorded_complexes(monkeypatch):
+    """The list that every CochainComplex built from now on is appended to."""
+    built = []
     init = complexes.CochainComplex.__init__
 
-    def record_complex(self, *args, **kwargs):
+    def record(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
-    monkeypatch.setattr(complexes.CochainComplex, "__init__", record_complex)
-    patch_everywhere(monkeypatch, linalg, "kernel_vectors", recording(kernels))
-    patch_everywhere(monkeypatch, linalg, "image_subspace", recording(images))
+    monkeypatch.setattr(complexes.CochainComplex, "__init__", record)
+    return built
+
+
+def test_one_kernel_and_one_image_per_complex_and_degree_in_hs(monkeypatch):
+    # the kernel of d_i and the image of d_{i-1} come from one echelon per map
+    from rinehart import linalg
+    built, eliminated, solved = recorded_complexes(monkeypatch), [], []
+    patch_everywhere(monkeypatch, linalg, "echelon", recording(eliminated))
+    patch_everywhere(monkeypatch, linalg, "solve", recording(solved))
     report, code = cli.run("hs", parse(PROBLEMS / "ext_heis_center.json"))
     assert code == 0, report
     assert len(built) > 4
     for c in built:
         for i, d in enumerate(c.diffs):
             # the arguments stay referenced, so identity cannot be reused
-            assert sum(m is d for m in kernels) == 1, (c.dims, i)
-            assert sum(m is d for m in images) == 1, (c.dims, i)
+            assert sum(m is d for m in eliminated) == 1, (c.dims, i)
+    assert solved == []
+
+
+def test_cohomology_eliminates_each_map_once(monkeypatch):
+    from rinehart import linalg
+    built, eliminated = recorded_complexes(monkeypatch), []
+    patch_everywhere(monkeypatch, linalg, "echelon", recording(eliminated))
+    report, code = cli.run("cohomology", parse(PROBLEMS / "heisenberg3.json"))
+    assert code == 0, report
+    (c,) = built
+    # d_0, d_1, d_2 and the zero map out of the top degree
+    assert len(eliminated) == len(c.diffs) + 1 == 4
+    assert [m for m in eliminated if not any(m is d for d in c.diffs)] == \
+        [Matrix.zero(c.field, 0, c.dims[-1])]
 
 
 def test_one_lie_morphism_loop_per_algebroid_and_representation(monkeypatch):
@@ -188,6 +208,16 @@ def test_parsing_builds_field_elements_of_nonzero_scalars_only(monkeypatch):
     monkeypatch.setattr(Field, "parse", recording(calls)(Field.parse))
     parse(path)
     assert 0 < len(calls) <= sum(map(nonzero, blocks))
+
+
+def test_enveloping_table_reads_each_degree_once(monkeypatch):
+    from rinehart.enveloping import TruncatedEnveloping, truncated_enveloping
+    U = truncated_enveloping(parse(PROBLEMS / "heisenberg3.json").algebroid, 3)
+    calls = []
+    monkeypatch.setattr(TruncatedEnveloping, "degree",
+                        recording(calls)(TruncatedEnveloping.degree))
+    U.table()
+    assert U.dim > 1 and len(calls) == U.dim
 
 
 def fat_point(j, rank):

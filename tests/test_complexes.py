@@ -15,7 +15,7 @@ from rinehart.fields import GF, QQ
 from rinehart.hochschild import hs_filtration
 from rinehart.linalg import Matrix, rank
 
-from oracles import limit_page_dims, subquotient_page_dims
+from oracles import five_term_exactness, limit_page_dims, subquotient_page_dims
 
 
 def qmat(rows):
@@ -156,7 +156,7 @@ def test_edge_maps_trivial_filtration_identity_shaped():
     assert em.restriction.rows == em.restriction.cols == 1
     assert em.restriction.entries[0][0] == Fraction(1)
     assert em.inflation1.cols == 0
-    assert em.all_exact
+    assert em.all_exact and em.exact == five_term_exactness(em)
 
 
 def test_edge_maps_aff1_extension():
@@ -164,7 +164,7 @@ def test_edge_maps_aff1_extension():
     em = edge_maps(fc, spectral_pages(fc, 2)[0][1])
     # 0 -> k -> k -> 0 -> 0 -> 0
     assert em.node_dims == (1, 1, 0, 0, 0)
-    assert em.all_exact
+    assert em.all_exact and em.exact == five_term_exactness(em)
 
 
 def test_coordinates_reject_vectors_off_the_page():

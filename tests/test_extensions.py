@@ -3,13 +3,15 @@ from fractions import Fraction
 import pytest
 
 from rinehart import catalog
-from rinehart.algebroid import invariants, validate_representation
+from rinehart.algebra import FiniteAlgebra
+from rinehart.algebroid import LieRinehartAlgebroid, invariants, validate_representation
 from rinehart.cecomplex import ce_complex, ce_dims
 from rinehart.errors import EngineError
-from rinehart.extensions import (adapt, extension_from_k_indices, induced_q_rep,
-                                 induced_q_rep_adapted, validate_extension,
+from rinehart.extensions import (ExtensionTriple, adapt, extension_from_k_indices,
+                                 induced_q_rep, induced_q_rep_adapted, validate_extension,
                                  with_splitting)
 from rinehart.fields import QQ
+from rinehart.linalg import Matrix
 
 
 def make_ext(name):
@@ -37,6 +39,22 @@ def test_non_ideal_kernel_rejected():
     E = extension_from_k_indices(entry.algebroid, [1])
     vs = validate_extension(E)
     assert any(v.axiom in ("iota-bracket", "pi-bracket") for v in vs)
+
+
+def test_maps_whose_ranks_add_up_but_whose_composition_is_nonzero_are_not_exact():
+    # L = k^2 abelian, iota: s_0 -> s_0, pi: s_0 -> q, s_1 -> 0; sigma: q -> s_0.
+    # rank iota + rank pi = 2 = kdim L, yet pi iota != 0
+    f = QQ
+    alg = FiniteAlgebra(f, 1, [[(f.one,)]], (f.one,))
+
+    def abelian(n):
+        return LieRinehartAlgebroid(alg, n, [Matrix.zero(f, 1, 1)] * n,
+                                    [[[(f.zero,)] * n for _ in range(n)] for _ in range(n)])
+
+    one, zero = (f.one,), (f.zero,)
+    E = ExtensionTriple(abelian(1), abelian(2), abelian(1), iota=[[one, zero]],
+                        pi=[[one], [zero]], sigma=[[one, zero]])
+    assert [v.axiom for v in validate_extension(E)] == ["not-exact-in-middle"]
 
 
 def test_nonzero_kernel_anchor_rejected():

@@ -4,7 +4,7 @@ from rinehart.extensions import extension_from_k_indices
 from rinehart.hochschild import (check_e1, check_e2, five_term, hs_filtration,
                                  hs_pages, hs_report, k_cohomology_dims)
 
-from oracles import limit_page_dims, subquotient_page_dims
+from oracles import five_term_exactness, limit_page_dims, subquotient_page_dims
 
 
 def make(name):
@@ -121,6 +121,13 @@ def test_five_term_whole_corpus():
         E = extension_from_k_indices(entry.algebroid, k_indices, sigma)
         ft = five_term(hs_pages(E, entry.representation))
         assert ft.all_exact, name
+
+
+def test_five_term_exactness_matches_the_subspace_oracle_whole_corpus():
+    for name, entry, k_indices, sigma in catalog.extension_entries():
+        E = extension_from_k_indices(entry.algebroid, k_indices, sigma)
+        ft = five_term(hs_pages(E, entry.representation))
+        assert ft.exact == five_term_exactness(ft), name
 
 
 def test_five_term_aff1_dims():

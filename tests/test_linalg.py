@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from rinehart.errors import NotASubspace
 from rinehart.fields import GF, QQ
 from rinehart.linalg import (Matrix, Subspace, dense_to_sparse, image_subspace,
-                             kernel_subspace, kernel_vectors, quotient_dim, rank, rref, solve)
+                             kernel_subspace, kernel_vectors, rank, rref, solve)
 
 
 def qmat(rows):
@@ -100,33 +99,6 @@ def test_rref_is_canonical():
     assert rref(a)[0] == rref(b)[0]
 
 
-def test_quotient_dim_equal_spaces():
-    v = Subspace.full(QQ, 2)
-    d, reps = quotient_dim(v, v)
-    assert d == 0 and reps == []
-
-
-def test_quotient_dim_full_by_zero():
-    d, reps = quotient_dim(Subspace.full(QQ, 2), Subspace.zero(QQ, 2))
-    assert d == 2 and len(reps) == 2
-
-
-def test_quotient_dim_plane_by_line():
-    one = Fraction(1)
-    zero = Fraction(0)
-    v = Subspace(QQ, 3, map(dense_to_sparse, [(one, zero, zero), (zero, one, zero)]))
-    w = Subspace(QQ, 3, [dense_to_sparse((one, one, zero))])
-    d, reps = quotient_dim(v, w)
-    assert d == 1 and len(reps) == 1
-
-
-def test_quotient_dim_rejects_non_subspace():
-    v = Subspace(QQ, 2, [dense_to_sparse((Fraction(1), Fraction(0)))])
-    w = Subspace(QQ, 2, [dense_to_sparse((Fraction(0), Fraction(1)))])
-    with pytest.raises(NotASubspace):
-        quotient_dim(v, w)
-
-
 def test_intersect_and_sum():
     one = Fraction(1)
     zero = Fraction(0)
@@ -178,11 +150,3 @@ def test_sub_shape_mismatch_raises_value_error():
 def test_preimage_shape_mismatch_raises_value_error():
     with pytest.raises(ValueError, match="preimage"):
         Subspace.zero(QQ, 3).preimage(qmat([[1, 0], [0, 1]]))
-
-
-def test_quotient_dim_checks_its_representative_count(monkeypatch):
-    from rinehart import linalg
-    from rinehart.errors import EngineError
-    monkeypatch.setattr(linalg, "complete_basis", lambda base, candidates: [])
-    with pytest.raises(EngineError, match="coset representatives"):
-        quotient_dim(Subspace.full(QQ, 2), Subspace.zero(QQ, 2))
