@@ -8,22 +8,22 @@ the Ext pipeline with the CE pipeline on the corpus.
 
 from rinehart import catalog
 from rinehart.cecomplex import ce_dims
-from rinehart.enveloping import (augmentation, ext_dims, hom_complex_iso,
-                                 rinehart_complex, truncated_enveloping)
+from rinehart.enveloping import (TruncatedEnveloping, ext_dims, hom_complex_iso,
+                                 rinehart_complex)
 
 L = catalog.aff1().algebroid
-U = truncated_enveloping(L, 3)
+U = TruncatedEnveloping(L, 3)
 print(f"aff(1), cutoff 3: PBW dimension {U.dim} (= C(2+3,3))")
 prod, _ = U.mul_mono((0, (0, 1)), (0, (1, 0)))
 print("straightening e2*e1 :", {k: str(v) for k, v in prod.items()},
       " (= e1 e2 - e1)")
 
 Lf = catalog.fatpoint_rank1().algebroid
-Uf = truncated_enveloping(Lf, 2)
+Uf = TruncatedEnveloping(Lf, 2)
 prod, _ = Uf.mul_mono((0, (1,)), (1, (0,)))
 print("fat point, s*x      :", {k: str(v) for k, v in prod.items()},
       " (= x s + x, the anchor relation)")
-eps = augmentation(Uf)
+eps = Uf.augmentation_matrix()
 x_image = eps.apply(Uf.to_vector(Uf.coefficient(((1, Lf.field.one),))))
 print("augmentation of x   :", {j: str(v) for j, v in x_image}, " (nonzero coordinates)")
 

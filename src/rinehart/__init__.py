@@ -18,9 +18,8 @@ from .algebroid import (LieRinehartAlgebroid, Representation, anchor_representat
 from .cecomplex import CEComplex, RepComplex, ce_complex, ce_dims, total_complex
 from .complexes import (CochainComplex, Cohomology, EdgeMaps, FilteredComplex,
                         SpectralPage, edge_maps, spectral_pages, total_cohomology_dims)
-from .enveloping import (RinehartComplex, TruncatedEnveloping, augmentation,
-                         ext_dims, hom_complex_iso, rinehart_complex,
-                         truncated_enveloping)
+from .enveloping import (RinehartComplex, TruncatedEnveloping, ext_dims, hom_complex_iso,
+                         rinehart_complex)
 from .extensions import (AdaptedExtension, ExtensionTriple, adapt,
                          extension_from_k_indices, induced_q_rep,
                          validate_extension, with_splitting)

@@ -23,14 +23,14 @@ silently truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .algebroid import LieRinehartAlgebroid, Representation, anchor_representation
 from .cecomplex import CEComplex, ce_complex, koszul_terms
 from .complexes import total_cohomology_dims
 from .errors import EngineError, ExactnessFailure, MismatchAt
-from .linalg import Matrix, add_block, add_entry, combination, dict_to_sparse, rank
+from .linalg import Matrix, RowBasis, add_block, add_entry, combination, dict_to_sparse
 
 
 def _monomials(n, dmax):
@@ -230,38 +230,30 @@ class TruncatedEnveloping:
         return out
 
 
-def truncated_enveloping(L: LieRinehartAlgebroid, cutoff: int) -> TruncatedEnveloping:
-    return TruncatedEnveloping(L, cutoff)
-
-
-def augmentation(U: TruncatedEnveloping) -> Matrix:
-    return U.augmentation_matrix()
-
-
 @dataclass
 class RinehartComplex:
     """C_i = U(L) (x)_A Lambda^i L with the Koszul-type differential, graded by
     total degree (PBW degree plus homological degree)."""
     U: TruncatedEnveloping
     bases: list      # bases[i] = [(monomial, tuple)] with deg + i <= cutoff
+    levels: list     # levels[i][k] = deg + i of the generator bases[i][k]
     partials: list   # partials[i]: C_i -> C_{i-1} for i >= 1
     epsilon: Matrix  # on C_0 = U
-
-    def slice_indices(self, i, t):
-        return [idx for idx, (mono, _) in enumerate(self.bases[i])
-                if self.U.degree(mono) + i <= t]
 
 
 def rinehart_complex(L: LieRinehartAlgebroid, cutoff: int):
     """Build the resolution and certify exactness on every total-degree level
     t <= cutoff; returns (complex, report) or raises ExactnessFailure."""
-    U = truncated_enveloping(L, cutoff)
+    U = TruncatedEnveloping(L, cutoff)
     f = L.field
     n = L.n
-    bases = []
+    degrees = [U.degree(mono) for mono in U.basis]
+    bases, levels = [], []
     for i in range(n + 1):
-        monos = [mono for mono in U.basis if U.degree(mono) + i <= cutoff]
-        bases.append([(mono, J) for J in combinations(range(n), i) for mono in monos])
+        kept = [(mono, d + i) for mono, d in zip(U.basis, degrees) if d + i <= cutoff]
+        tuples = list(combinations(range(n), i))
+        bases.append([(mono, J) for J in tuples for mono, _ in kept])
+        levels.append([level for _ in tuples for _, level in kept])
     index_maps = [{bj: t for t, bj in enumerate(b)} for b in bases]
     partials = [None]
     for i in range(1, n + 1):
@@ -279,7 +271,7 @@ def rinehart_complex(L: LieRinehartAlgebroid, cutoff: int):
                     add_entry(rows[index_maps[i - 1][(m2, S)]], col, c if sgn == 1 else -c)
         partials.append(Matrix.from_dicts(f, len(bases[i]), rows))
     eps = U.augmentation_matrix()
-    cx = RinehartComplex(U, bases, partials, eps)
+    cx = RinehartComplex(U, bases, levels, partials, eps)
     # complex identities
     for i in range(2, n + 1):
         if not partials[i - 1].mul(partials[i]).is_zero():
@@ -288,13 +280,6 @@ def rinehart_complex(L: LieRinehartAlgebroid, cutoff: int):
         raise ExactnessFailure("epsilon o partial != 0 on C_1", witness=("eps", 1))
     report = check_exactness(cx)
     return cx, report
-
-
-def _submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
-    """The rows row_idx and the columns col_idx of m, both ascending."""
-    keep = {c: k for k, c in enumerate(col_idx)}
-    return Matrix(m.field, len(row_idx), len(col_idx),
-                  tuple(tuple((keep[c], x) for c, x in m.data[r] if c in keep) for r in row_idx))
 
 
 @dataclass
@@ -310,39 +295,52 @@ class ExactnessReport:
         return all(kd == r1 for kd, r1, _ in self.augmented.values())
 
 
+def _level_ranks(m: Matrix, levels, top) -> list:
+    """ranks[t] = rank of the columns of m at level <= t, for t = 0..top, read
+    off one RowBasis that takes the columns in level order."""
+    basis = RowBasis(m.field, m.rows)
+    new = [0] * (top + 1)
+    for c in sorted(range(m.cols), key=levels.__getitem__):
+        new[levels[c]] += basis.add(m.column(c))
+    return list(accumulate(new))
+
+
 def check_exactness(cx: RinehartComplex) -> ExactnessReport:
+    """Exactness of the augmented resolution on every level slice t <= cutoff
+    (the generators of level <= t), in (t, then degree) order.
+
+    A differential preserves the filtration when no entry sends a generator to
+    one of a higher level; an entry that does escapes every slice from the
+    level of its column on, so one scan of the nonzeros finds the first
+    escaping slice.  Below it the slice of partial_i is its columns of level
+    <= t, so the ranks on all slices come from one elimination per map.
+    """
     U = cx.U
     n = U.L.n
+    top = U.cutoff
+    levels = cx.levels
+    escape = min(((levels[i][c], i) for i in range(1, n + 1)
+                  for r, row in enumerate(cx.partials[i].data) for c, _ in row
+                  if levels[i - 1][r] > levels[i][c]), default=None)
+    zero = [0] * (top + 1)
+    ranks = [zero] + [_level_ranks(cx.partials[i], levels[i], top)
+                      for i in range(1, n + 1)] + [zero]
+    r_eps = _level_ranks(cx.epsilon, levels[0], top)
     homology = {}
     augmented = {}
-    for t in range(U.cutoff + 1):
-        slices = [cx.slice_indices(i, t) for i in range(n + 1)]
-        mats = {}
+    for t in range(top + 1):
+        if escape is not None and escape[0] == t:
+            raise ExactnessFailure("differential does not preserve the filtration",
+                                   witness=("filtration", t, escape[1]))
         for i in range(1, n + 1):
-            sub = _submatrix(cx.partials[i], slices[i - 1], slices[i])
-            # the differential must preserve the filtration level
-            full_cols = slices[i]
-            inside = set(slices[i - 1])
-            outside_rows = [r for r in range(len(cx.bases[i - 1])) if r not in inside]
-            if outside_rows and full_cols:
-                esc = _submatrix(cx.partials[i], outside_rows, full_cols)
-                if not esc.is_zero():
-                    raise ExactnessFailure("differential does not preserve the filtration",
-                                           witness=("filtration", t, i))
-            mats[i] = sub
-        # ranks[i] = rank of partial_i on the level slice, 0 past the top degree
-        ranks = [0] + [rank(mats[i]) if slices[i] else 0 for i in range(1, n + 1)] + [0]
-        for i in range(1, n + 1):
-            h = len(slices[i]) - ranks[i] - ranks[i + 1]
+            h = sum(lv <= t for lv in levels[i]) - ranks[i][t] - ranks[i + 1][t]
             homology[(t, i)] = h
             if h:
                 raise ExactnessFailure(f"homology {h} at level t={t}, degree {i}",
                                        witness=(t, i))
-        eps_slice = _submatrix(cx.epsilon, list(range(U.alg.dim)), slices[0])
-        r_eps = rank(eps_slice)
-        ker_eps = len(slices[0]) - r_eps
-        augmented[t] = (ker_eps, ranks[1], r_eps)
-        if ker_eps != ranks[1]:
+        ker_eps = sum(lv <= t for lv in levels[0]) - r_eps[t]
+        augmented[t] = (ker_eps, ranks[1][t], r_eps[t])
+        if ker_eps != ranks[1][t]:
             raise ExactnessFailure(f"augmented complex not exact at C_0, level {t}",
                                    witness=(t, 0))
     return ExactnessReport(U.cutoff, homology, augmented)
@@ -377,7 +375,6 @@ def hom_complex_iso(cx: RinehartComplex, R: Representation) -> HomIsoCertificate
     one = U.unit()    # 1 = sum_a unit[a] e_a
     transferred = []
     for i in range(min(L.n, U.cutoff)):
-        columns = cx.partials[i + 1].transpose().data
         column = {b: k for k, b in enumerate(cx.bases[i + 1])}
         index_i = {J: k for k, J in enumerate(ce.tuples[i])}
         rows = [{} for _ in range(ce.complex.dims[i + 1])]
@@ -385,7 +382,7 @@ def hom_complex_iso(cx: RinehartComplex, R: Representation) -> HomIsoCertificate
             # partial(1 (x) s_T), grouped by J
             image = {}
             for unit_mono, u in one.items():
-                for r, x in columns[column[(unit_mono, T)]]:
+                for r, x in cx.partials[i + 1].column(column[(unit_mono, T)]):
                     mono, J = cx.bases[i][r]
                     elem = image.setdefault(J, {})
                     elem[mono] = elem.get(mono, f.zero) + u * x

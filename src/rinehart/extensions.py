@@ -143,6 +143,11 @@ class AdaptedExtension:
     c: int
     r: int
 
+    @cached_property
+    def ce_kernel(self) -> CEComplex:
+        """The CE complex of K_sub with coefficients rho_K, built once."""
+        return ce_complex(self.K_sub, self.rho_K)
+
 
 def adapt(E: ExtensionTriple, R: Representation) -> AdaptedExtension:
     bad = E.violations
@@ -237,7 +242,7 @@ def _lie_operator_on_k_cochains(ad: AdaptedExtension, ceK, q: int, section_index
 def induced_q_rep(E: ExtensionTriple, R: Representation, q: int) -> Representation:
     """The representation of Q on H^q(K; M) induced through the splitting."""
     ad = adapt(E, R)
-    return induced_q_rep_adapted(ad, ce_complex(ad.K_sub, ad.rho_K), q)
+    return induced_q_rep_adapted(ad, ad.ce_kernel, q)
 
 
 def induced_q_rep_adapted(ad: AdaptedExtension, ceK: CEComplex, q: int) -> Representation:

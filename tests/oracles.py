@@ -10,7 +10,11 @@ formula for E_r and `limit_page_dims` the E_infinity formula straight from the
 kernel of each d_s and the span of the columns of d_{s-1}, both with the
 engine's subspace calculus on the coordinate subspaces F^p, where the engine
 reads pages off a persistence pairing; `five_term_exactness` compares images
-and kernels as subspaces, where the engine adds ranks.  The algebra product
+and kernels as subspaces, where the engine adds ranks;
+`nested_slice_exactness` eliminates every level slice of the resolution,
+where the engine eliminates each map once in level order; and
+`tensor_module_e1_dims` assembles the CE complex of K with C(r, p) copies of
+M for each p, where the engine scales one cohomology by C(r, p).  The algebra product
 is evaluated here by dense loops over the structure constants (`mul_vec`),
 where the engine reads it off the regular module and the anchor
 representation.  The algebroid axioms are checked here on every k-basis pair
@@ -24,7 +28,13 @@ from math import comb
 
 import sympy
 
-from rinehart.linalg import Subspace, image_subspace, kernel_subspace, kernel_vectors, rank
+from rinehart.algebra import AModule
+from rinehart.algebroid import Representation
+from rinehart.cecomplex import ce_dims
+from rinehart.enveloping import ExactnessReport
+from rinehart.errors import ExactnessFailure
+from rinehart.linalg import (Matrix, Subspace, block_diagonal, image_subspace, kernel_subspace,
+                             kernel_vectors, rank)
 
 
 def perm_sign(p):
@@ -195,6 +205,77 @@ def five_term_exactness(em):
     maps = (em.inflation1, em.restriction, em.transgression, em.inflation2)
     return (rank(maps[0]) == maps[0].cols,) + tuple(
         image_subspace(a).equals(kernel_subspace(b)) for a, b in zip(maps, maps[1:]))
+
+
+# -- nested-slice exactness and tensor-module E_1 -----------------------------
+
+def _slice_indices(cx, i, t):
+    """The generators of C_i whose PBW degree plus i is at most t."""
+    return [idx for idx, (mono, _) in enumerate(cx.bases[i]) if cx.U.degree(mono) + i <= t]
+
+
+def _submatrix(m, row_idx, col_idx):
+    """The rows row_idx and the columns col_idx of m, both ascending."""
+    keep = {c: k for k, c in enumerate(col_idx)}
+    return Matrix(m.field, len(row_idx), len(col_idx),
+                  tuple(tuple((keep[c], x) for c, x in m.data[r] if c in keep) for r in row_idx))
+
+
+def nested_slice_exactness(cx):
+    """check_exactness by cutting the level-t slice of every partial_i and of
+    epsilon and eliminating each one, level by level, where the engine
+    eliminates each map once with its columns in level order."""
+    U = cx.U
+    n = U.L.n
+    homology = {}
+    augmented = {}
+    for t in range(U.cutoff + 1):
+        slices = [_slice_indices(cx, i, t) for i in range(n + 1)]
+        mats = {}
+        for i in range(1, n + 1):
+            sub = _submatrix(cx.partials[i], slices[i - 1], slices[i])
+            # the differential must preserve the filtration level
+            full_cols = slices[i]
+            inside = set(slices[i - 1])
+            outside_rows = [r for r in range(len(cx.bases[i - 1])) if r not in inside]
+            if outside_rows and full_cols:
+                esc = _submatrix(cx.partials[i], outside_rows, full_cols)
+                if not esc.is_zero():
+                    raise ExactnessFailure("differential does not preserve the filtration",
+                                           witness=("filtration", t, i))
+            mats[i] = sub
+        # ranks[i] = rank of partial_i on the level slice, 0 past the top degree
+        ranks = [0] + [rank(mats[i]) if slices[i] else 0 for i in range(1, n + 1)] + [0]
+        for i in range(1, n + 1):
+            h = len(slices[i]) - ranks[i] - ranks[i + 1]
+            homology[(t, i)] = h
+            if h:
+                raise ExactnessFailure(f"homology {h} at level t={t}, degree {i}",
+                                       witness=(t, i))
+        eps_slice = _submatrix(cx.epsilon, list(range(U.alg.dim)), slices[0])
+        r_eps = rank(eps_slice)
+        ker_eps = len(slices[0]) - r_eps
+        augmented[t] = (ker_eps, ranks[1], r_eps)
+        if ker_eps != ranks[1]:
+            raise ExactnessFailure(f"augmented complex not exact at C_0, level {t}",
+                                   witness=(t, 0))
+    return ExactnessReport(U.cutoff, homology, augmented)
+
+
+def tensor_module_e1_dims(ad):
+    """dim H^q(K; M (x) Lambda^p Q^*) at each (p, q), with M (x) Lambda^p Q^*
+    built as the K-module of C(r, p) block-diagonal copies of M and its CE
+    complex assembled afresh for each p, where the engine multiplies the
+    cohomology of one CE complex of K by C(r, p)."""
+    out = {}
+    for p in range(ad.r + 1):
+        copies = comb(ad.r, p)
+        mod = AModule(ad.L_ad.algebra, copies * ad.rep.module.dim,
+                      [block_diagonal(m, copies) for m in ad.rep.module.action])
+        rho = [block_diagonal(ad.rho_K.rho[i], copies) for i in range(ad.c)]
+        for q, dim in enumerate(ce_dims(ad.K_sub, Representation(mod, rho))):
+            out[(p, q)] = dim
+    return out
 
 
 # -- dense reference for linalg.Matrix: lists of row lists, every entry visited --

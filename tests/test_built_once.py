@@ -1,5 +1,7 @@
 """Each artifact of a request is built once: the echelon of each differential
-behind the cohomology groups, the reduction of each filtered differential
+behind the cohomology groups, one elimination of each map of the resolution
+behind its exactness on every level, the CE complex of the kernel behind the
+E_1 and E_2 certificates, the reduction of each filtered differential
 behind the spectral pages, the Lie-morphism check of a representation, the
 products of the regular module and the symbol commutators, the action of each
 bracket coefficient, and the validation of the algebra and of the extension.
@@ -14,7 +16,7 @@ from collections import Counter
 from itertools import product
 from pathlib import Path
 
-from rinehart import algebroid, cli, complexes, extensions
+from rinehart import algebroid, cecomplex, cli, complexes, extensions
 from rinehart.algebra import AModule, FiniteAlgebra
 from rinehart.algebroid import LieRinehartAlgebroid
 from rinehart.cecomplex import ce_complex
@@ -86,6 +88,51 @@ def test_cohomology_eliminates_each_map_once(monkeypatch):
     assert len(eliminated) == len(c.diffs) + 1 == 4
     assert [m for m in eliminated if not any(m is d for d in c.diffs)] == \
         [Matrix.zero(c.field, 0, c.dims[-1])]
+
+
+def test_exactness_eliminates_each_map_once(monkeypatch):
+    from rinehart import enveloping, linalg
+    checked, eliminated = [], []
+    init, check = linalg.RowBasis.__init__, enveloping.check_exactness
+
+    def record_basis(self, field, n):
+        init(self, field, n)
+        if checked and checked[-1] is not None:
+            eliminated.append(n)
+
+    def record_check(cx):
+        checked.append(cx)
+        try:
+            return check(cx)
+        finally:
+            checked.append(None)
+
+    monkeypatch.setattr(linalg.RowBasis, "__init__", record_basis)
+    monkeypatch.setattr(enveloping, "check_exactness", record_check)
+    report, code = cli.run("env", parse(PROBLEMS / "heisenberg3.json"), {"degree": 3})
+    assert code == 0, report
+    cx = checked[0]
+    assert checked[1:] == [None]
+    # one basis for the columns of each partial_i and one for those of epsilon
+    assert sorted(eliminated) == sorted([len(b) for b in cx.bases[:-1]] + [cx.U.alg.dim])
+    assert len(eliminated) == len(cx.bases) == 4
+
+
+def test_hs_builds_the_ce_complex_of_the_kernel_once(monkeypatch):
+    adapted, assembled = [], []
+    adapt = extensions.adapt
+
+    def record_adapt(E, R):
+        adapted.append(adapt(E, R))
+        return adapted[-1]
+
+    patch_everywhere(monkeypatch, extensions, "adapt", lambda fn: record_adapt)
+    patch_everywhere(monkeypatch, cecomplex, "ce_complex", recording(assembled))
+    report, code = cli.run("hs", parse(PROBLEMS / "ext_heis_center.json"))
+    assert code == 0, report
+    (ad,) = adapted
+    assert ad.r == 2
+    assert sum(L is ad.K_sub for L in assembled) == 1
 
 
 def test_one_lie_morphism_loop_per_algebroid_and_representation(monkeypatch):
@@ -211,8 +258,8 @@ def test_parsing_builds_field_elements_of_nonzero_scalars_only(monkeypatch):
 
 
 def test_enveloping_table_reads_each_degree_once(monkeypatch):
-    from rinehart.enveloping import TruncatedEnveloping, truncated_enveloping
-    U = truncated_enveloping(parse(PROBLEMS / "heisenberg3.json").algebroid, 3)
+    from rinehart.enveloping import TruncatedEnveloping
+    U = TruncatedEnveloping(parse(PROBLEMS / "heisenberg3.json").algebroid, 3)
     calls = []
     monkeypatch.setattr(TruncatedEnveloping, "degree",
                         recording(calls)(TruncatedEnveloping.degree))

@@ -6,9 +6,8 @@ import pytest
 from oracles import dense_vector, mul_vec, unit_vectors
 from rinehart import catalog
 from rinehart.cecomplex import ce_dims
-from rinehart.enveloping import (ExactnessReport, TruncatedEnveloping, augmentation,
-                                 ext_dims, hom_complex_iso, rinehart_complex,
-                                 truncated_enveloping)
+from rinehart.enveloping import (ExactnessReport, TruncatedEnveloping, ext_dims,
+                                 hom_complex_iso, rinehart_complex)
 from rinehart.errors import EngineError, ExactnessFailure, MismatchAt
 from rinehart.fields import QQ
 from rinehart.linalg import Matrix, dense_to_sparse
@@ -19,19 +18,19 @@ def abelian_rank1():
 
 
 def test_pbw_count_abelian_rank1():
-    U = truncated_enveloping(abelian_rank1(), 3)
+    U = TruncatedEnveloping(abelian_rank1(), 3)
     assert U.dim == 4      # 1, s, s^2, s^3
 
 
 def test_pbw_count_formula_on_corpus():
     for e in catalog.positive_entries():
         L = e.algebroid
-        U = truncated_enveloping(L, 3)
+        U = TruncatedEnveloping(L, 3)
         assert U.dim == L.m * comb(L.n + 3, 3), e.name
 
 
 def test_polynomial_table_commutative_with_overflow():
-    U = truncated_enveloping(abelian_rank1(), 3)
+    U = TruncatedEnveloping(abelian_rank1(), 3)
     s1 = (0, (1,))
     s2 = (0, (2,))
     prod, ov = U.mul_mono(s1, s2)
@@ -43,7 +42,7 @@ def test_polynomial_table_commutative_with_overflow():
 def test_aff1_straightening_single_rewrite():
     # e2 e1 = e1 e2 + [e2, e1] = e1 e2 - e1
     L = catalog.aff1().algebroid
-    U = truncated_enveloping(L, 2)
+    U = TruncatedEnveloping(L, 2)
     assert U.dim == 6
     prod, ov = U.mul_mono((0, (0, 1)), (0, (1, 0)))
     assert not ov
@@ -53,7 +52,7 @@ def test_aff1_straightening_single_rewrite():
 def test_fatpoint_relation_instance():
     # s x = x s + a(s)(x) = x s + x
     L = catalog.fatpoint_rank1().algebroid
-    U = truncated_enveloping(L, 2)
+    U = TruncatedEnveloping(L, 2)
     assert U.dim == 2 * comb(3, 2)
     prod, ov = U.mul_mono((0, (1,)), (1, (0,)))
     assert not ov
@@ -63,7 +62,7 @@ def test_fatpoint_relation_instance():
 def test_defining_relations_on_corpus():
     for e in catalog.positive_entries():
         L = e.algebroid
-        U = truncated_enveloping(L, 2)
+        U = TruncatedEnveloping(L, 2)
         # s_i f - f s_i = a(s_i)(f)
         for i in range(L.n):
             for b in range(L.m):
@@ -97,7 +96,7 @@ def test_straightening_confluence():
     # associativity wherever all degrees stay inside the cutoff
     for name in ("sl2", "aff1", "fatpoint_rank2", "split_example", "heisenberg3_f2"):
         e = {x.name: x for x in catalog.positive_entries()}[name]
-        U = truncated_enveloping(e.algebroid, 3)
+        U = TruncatedEnveloping(e.algebroid, 3)
         monos = [m for m in U.basis if U.degree(m) <= 1]
         for m1 in monos:
             for m2 in monos:
@@ -112,8 +111,8 @@ def test_straightening_confluence():
 
 def test_augmentation_values():
     L = catalog.fatpoint_rank1().algebroid
-    U = truncated_enveloping(L, 2)
-    eps = augmentation(U)
+    U = TruncatedEnveloping(L, 2)
+    eps = U.augmentation_matrix()
     one_vec = U.to_vector(U.unit())
     assert eps.apply(one_vec) == ((0, Fraction(1)),)
     s_vec = U.to_vector(U.section(0))
@@ -125,7 +124,7 @@ def test_augmentation_values():
 def test_action_respects_relations():
     for e in catalog.positive_entries():
         L = e.algebroid
-        U = truncated_enveloping(L, 2)
+        U = TruncatedEnveloping(L, 2)
         R = e.representation
         for i in range(L.n):
             for b in range(L.m):
@@ -272,8 +271,8 @@ def test_ext_dims_examples():
 
 def test_table_export_is_deterministic():
     L = catalog.aff1().algebroid
-    t1 = truncated_enveloping(L, 2).table()
-    t2 = truncated_enveloping(L, 2).table()
+    t1 = TruncatedEnveloping(L, 2).table()
+    t2 = TruncatedEnveloping(L, 2).table()
     assert t1 == t2
     assert t1[(0, 0)]["overflow"] is False
 
@@ -283,8 +282,8 @@ def test_augmentation_is_left_a_linear_and_onto():
     for name in ("fatpoint_rank1", "split_example"):
         e = {x.name: x for x in catalog.positive_entries()}[name]
         L = e.algebroid
-        U = truncated_enveloping(L, 2)
-        eps = augmentation(U)
+        U = TruncatedEnveloping(L, 2)
+        eps = U.augmentation_matrix()
         alg = L.algebra
         for b in range(L.m):
             for mono in U.basis:

@@ -1,10 +1,18 @@
+import json
+from itertools import product
+from pathlib import Path
+
 from rinehart import catalog
 from rinehart.cecomplex import ce_dims
 from rinehart.extensions import extension_from_k_indices
 from rinehart.hochschild import (check_e1, check_e2, five_term, hs_filtration,
                                  hs_pages, hs_report, k_cohomology_dims)
+from rinehart.problems import from_dict
 
-from oracles import five_term_exactness, limit_page_dims, subquotient_page_dims
+from oracles import (five_term_exactness, limit_page_dims, subquotient_page_dims,
+                     tensor_module_e1_dims)
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def make(name):
@@ -93,6 +101,20 @@ def test_e1_identification_whole_corpus():
         E = extension_from_k_indices(entry.algebroid, k_indices, sigma)
         cert = check_e1(hs_pages(E, entry.representation))
         assert cert.ok, name
+
+
+def test_e1_matches_the_tensor_module_oracle_corpus_files_over_three_fields():
+    files = sorted(PROBLEMS.glob("ext_*.json"))
+    assert len(files) == 5
+    for path, field in product(files, ({"type": "rational"}, {"type": "prime", "p": 2},
+                                       {"type": "prime", "p": 101})):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["field"] = field
+        problem = from_dict(data)
+        hp = hs_pages(problem.extension_triple, problem.representation())
+        expected = tensor_module_e1_dims(hp.filtration.adapted)
+        assert check_e1(hp).table == {pq: (hp.page(1).dim(*pq), dim)
+                                      for pq, dim in expected.items()}, (path.name, field)
 
 
 def test_e2_identification_whole_corpus():
