@@ -108,16 +108,19 @@ def run(command: str, problem: ProblemFile, options: dict | None = None) -> tupl
             cx, exact_report = rinehart_complex(problem.algebroid, d)
             exts = ext_dims(exact_report, hom_complex_iso(cx, rep))
             U = cx.U
-            table = U.table()
+            table = {}
+            overflow = {"overflow": True, "terms": None}
+            for i, row in enumerate(U.table()):
+                for j, (terms, ov) in enumerate(row):
+                    table[f"{i},{j}"] = {"overflow": ov,
+                                         "terms": [[t, field.fmt(c)] for t, c in terms]}
+                for j in range(len(row), U.dim):
+                    table[f"{i},{j}"] = overflow
             report["results"] = {
                 "degree": d,
                 "pbw_dim": U.dim,
                 "pbw_basis": [[a, list(alpha)] for a, alpha in U.basis],
-                "multiplication_table": {
-                    f"{i},{j}": {"overflow": cell["overflow"],
-                                 "terms": None if cell["terms"] is None else
-                                 [[t, field.fmt(c)] for t, c in cell["terms"]]}
-                    for (i, j), cell in sorted(table.items())},
+                "multiplication_table": table,
                 "rinehart_exact_levels": sorted({t for (t, _) in exact_report.homology}),
                 "hom_iso": "ok",
                 "ext_dims": [d_ for _, d_ in exts],

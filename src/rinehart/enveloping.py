@@ -22,6 +22,7 @@ silently truncated.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
@@ -205,9 +206,18 @@ class TruncatedEnveloping:
 
     def augmentation_matrix(self) -> Matrix:
         """epsilon(u) = u . 1 as a map from U-coordinates to A-coordinates, with U
-        acting on A through the anchor."""
+        acting on A through the anchor.  s^alpha . 1 = rho_i(s^(alpha - e_i) . 1)
+        for the least i in alpha, one matrix-vector product from a vector of
+        lower degree, and e_a s^alpha . 1 is e_a times it."""
         A = anchor_representation(self.L)
-        cols = [self.action_on_module(mono, A).apply(self.alg.sparse_unit) for mono in self.basis]
+        lifted = {(0,) * self.L.n: self.alg.sparse_unit}   # alpha -> s^alpha . 1
+        cols = []
+        for a, alpha in self.basis:
+            if alpha not in lifted:
+                i = next(t for t, x in enumerate(alpha) if x)
+                lowered = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                lifted[alpha] = A.rho[i].apply(lifted[lowered])
+            cols.append(A.module.action[a].apply(lifted[alpha]))
         return Matrix.from_columns(self.field, self.alg.dim, cols)
 
     def to_vector(self, elem):
@@ -215,19 +225,33 @@ class TruncatedEnveloping:
         return dict_to_sparse({self.index[mono]: c for mono, c in elem.items()})
 
     def table(self):
-        """Deterministic multiplication table: expanded within the cutoff,
-        overflow-flagged beyond it."""
-        out = {}
+        """Deterministic multiplication table by rows.  m_i m_j lies within the
+        cutoff exactly for the basis prefix deg m_j <= cutoff - deg m_i, and
+        row i lists those products as (sorted terms, overflow); every later
+        product overflows and is not stored.  With j the last section index
+        of beta, m_i (e_b s^beta) is m_i (e_b s^(beta - e_j)), an earlier cell
+        of the row, times s_j: the last straightening step of mul_mono."""
         degrees = [self.degree(mono) for mono in self.basis]
-        for i1, m1 in enumerate(self.basis):
-            for i2, m2 in enumerate(self.basis):
-                if degrees[i1] + degrees[i2] <= self.cutoff:
-                    elem, ov = self.mul_mono(m1, m2)
-                    terms = sorted(((self.index[mono], c) for mono, c in elem.items()))
-                    out[(i1, i2)] = {"overflow": ov, "terms": terms}
+        steps = []   # steps[k] = (index of the left factor, j), None at degree 0
+        for b, beta in self.basis:
+            if any(beta):
+                j = max(t for t, x in enumerate(beta) if x)
+                steps.append((self.index[(b, beta[:j] + (beta[j] - 1,) + beta[j + 1:])], j))
+            else:
+                steps.append(None)
+        rows = []
+        for m1, d1 in zip(self.basis, degrees):
+            cells = []
+            for (b, _), step in zip(self.basis[:bisect_right(degrees, self.cutoff - d1)], steps):
+                if step is None:
+                    cells.append((self.rmul_alg_mono(m1, b), False))
                 else:
-                    out[(i1, i2)] = {"overflow": True, "terms": None}
-        return out
+                    left, left_ov = cells[step[0]]
+                    elem, ov = self.rmul_s_elem(left, step[1])
+                    cells.append((elem, left_ov or ov))
+            rows.append([(sorted((self.index[mono], c) for mono, c in elem.items()), ov)
+                         for elem, ov in cells])
+        return rows
 
 
 @dataclass

@@ -12,10 +12,13 @@ engine's subspace calculus on the coordinate subspaces F^p, where the engine
 reads pages off a persistence pairing; `five_term_exactness` compares images
 and kernels as subspaces, where the engine adds ranks;
 `nested_slice_exactness` eliminates every level slice of the resolution,
-where the engine eliminates each map once in level order; and
+where the engine eliminates each map once in level order;
 `tensor_module_e1_dims` assembles the CE complex of K with C(r, p) copies of
-M for each p, where the engine scales one cohomology by C(r, p).  The algebra product
-is evaluated here by dense loops over the structure constants (`mul_vec`),
+M for each p, where the engine scales one cohomology by C(r, p); and
+`chained_table` straightens every product of the PBW table from scratch and
+`chained_augmentation` builds the action of each monomial as a chain of
+matrix products, where the engine takes one step from a product or a vector
+of lower degree.  The algebra product is evaluated here by dense loops over the structure constants (`mul_vec`),
 where the engine reads it off the regular module and the anchor
 representation.  The algebroid axioms are checked here on every k-basis pair
 and triple of the bracket's k-bilinear closure, where the engine reads tensors
@@ -29,7 +32,7 @@ from math import comb
 import sympy
 
 from rinehart.algebra import AModule
-from rinehart.algebroid import Representation
+from rinehart.algebroid import Representation, anchor_representation
 from rinehart.cecomplex import ce_dims
 from rinehart.enveloping import ExactnessReport
 from rinehart.errors import ExactnessFailure
@@ -260,6 +263,41 @@ def nested_slice_exactness(cx):
             raise ExactnessFailure(f"augmented complex not exact at C_0, level {t}",
                                    witness=(t, 0))
     return ExactnessReport(U.cutoff, homology, augmented)
+
+
+# -- the PBW table and the augmentation, product by product -------------------
+
+def chained_table(U):
+    """The multiplication table over all dim^2 pairs, {(i, j): {"overflow",
+    "terms"}}, each product within the cutoff straightened from scratch by
+    mul_mono, where the engine takes one straightening step from an earlier
+    cell of the row and stores only the cells within the cutoff."""
+    out = {}
+    degrees = [U.degree(mono) for mono in U.basis]
+    for i1, m1 in enumerate(U.basis):
+        for i2, m2 in enumerate(U.basis):
+            if degrees[i1] + degrees[i2] <= U.cutoff:
+                elem, ov = U.mul_mono(m1, m2)
+                terms = sorted(((U.index[mono], c) for mono, c in elem.items()))
+                out[(i1, i2)] = {"overflow": ov, "terms": terms}
+            else:
+                out[(i1, i2)] = {"overflow": True, "terms": None}
+    return out
+
+
+def chained_augmentation(U):
+    """epsilon as the matrix of e_a s^alpha acting on A, built as the chain of
+    matrix products rho_a rho_0^alpha_0 ... for each monomial and applied to
+    1, where the engine extends the vector of the monomial a degree lower."""
+    A = anchor_representation(U.L)
+    cols = []
+    for a, alpha in U.basis:
+        act = A.module.action[a]
+        for i, power in enumerate(alpha):
+            for _ in range(power):
+                act = act.mul(A.rho[i])
+        cols.append(act.apply(U.alg.sparse_unit))
+    return Matrix.from_columns(U.field, U.alg.dim, cols)
 
 
 def tensor_module_e1_dims(ad):

@@ -7,8 +7,10 @@ products of the regular module and the symbol commutators, the action of each
 bracket coefficient, and the validation of the algebra and of the extension.
 Validating a valid algebroid brackets no pair of k-vectors and makes a number
 of matrix products set by the A-basis, parsing builds a field element only
-for a nonzero scalar, the enveloping table reads each basis degree once, and
-a report formats only the nonzero entries of its vectors."""
+for a nonzero scalar, the enveloping table reads each basis degree once and
+takes one straightening step per product within the cutoff, the
+augmentation multiplies no matrices, and a report formats only the nonzero
+entries of its vectors."""
 
 import json
 import sys
@@ -265,6 +267,61 @@ def test_enveloping_table_reads_each_degree_once(monkeypatch):
                         recording(calls)(TruncatedEnveloping.degree))
     U.table()
     assert U.dim > 1 and len(calls) == U.dim
+
+
+def heisenberg3_enveloping(cutoff):
+    from rinehart.enveloping import TruncatedEnveloping
+    return TruncatedEnveloping(parse(PROBLEMS / "heisenberg3.json").algebroid, cutoff)
+
+
+def test_enveloping_table_straightens_no_product_from_scratch(monkeypatch):
+    from rinehart.enveloping import TruncatedEnveloping
+    U = heisenberg3_enveloping(5)
+    calls = []
+    monkeypatch.setattr(TruncatedEnveloping, "mul_mono",
+                        recording(calls)(TruncatedEnveloping.mul_mono))
+    U.table()
+    assert calls == []
+
+
+def test_enveloping_table_takes_one_step_per_cell(monkeypatch):
+    # one rmul_s_elem per product m_i (e_b s^beta) within the cutoff with
+    # |beta| >= 1, not counting the calls straightening makes inside itself
+    from rinehart.enveloping import TruncatedEnveloping
+    U = heisenberg3_enveloping(5)
+    depth, steps = [0], []
+
+    def nesting(fn, log):
+        def wrapper(*args):
+            if log is not None and depth[0] == 0:
+                log.append(args[1:])
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name, log in (("rmul_s_mono", None), ("rmul_alg_mono", None), ("rmul_s_elem", steps)):
+        monkeypatch.setattr(TruncatedEnveloping, name,
+                            nesting(getattr(TruncatedEnveloping, name), log))
+    U.table()
+    degrees = [U.degree(mono) for mono in U.basis]
+    within = [(d1, d2) for d1 in degrees for d2 in degrees if d1 + d2 <= U.cutoff]
+    assert (U.dim, len(within)) == (56, 462)
+    assert len(steps) == sum(d2 >= 1 for _, d2 in within) == 406
+
+
+def test_augmentation_multiplies_no_matrices(monkeypatch):
+    # a chain of |alpha| products per monomial would take 210 for these 56
+    from rinehart import linalg
+    from rinehart.algebroid import anchor_representation
+    U = heisenberg3_enveloping(5)
+    anchor_representation(U.L)
+    calls = []
+    monkeypatch.setattr(linalg.Matrix, "mul", recording(calls)(linalg.Matrix.mul))
+    eps = U.augmentation_matrix()
+    assert (eps.rows, eps.cols) == (1, 56) and calls == []
 
 
 def fat_point(j, rank):

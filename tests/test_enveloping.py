@@ -274,7 +274,8 @@ def test_table_export_is_deterministic():
     t1 = TruncatedEnveloping(L, 2).table()
     t2 = TruncatedEnveloping(L, 2).table()
     assert t1 == t2
-    assert t1[(0, 0)]["overflow"] is False
+    _, overflow = t1[0][0]   # row 0, its first cell: the (0, 0) product
+    assert overflow is False
 
 
 def test_augmentation_is_left_a_linear_and_onto():
