@@ -14,13 +14,13 @@ from rinehart.enveloping import (TruncatedEnveloping, ext_dims, hom_complex_iso,
 L = catalog.aff1().algebroid
 U = TruncatedEnveloping(L, 3)
 print(f"aff(1), cutoff 3: PBW dimension {U.dim} (= C(2+3,3))")
-prod, _ = U.mul_mono((0, (0, 1)), (0, (1, 0)))
+prod, _ = U.mul_mono((0, (1,)), (0, (0,)))
 print("straightening e2*e1 :", {k: str(v) for k, v in prod.items()},
       " (= e1 e2 - e1)")
 
 Lf = catalog.fatpoint_rank1().algebroid
 Uf = TruncatedEnveloping(Lf, 2)
-prod, _ = Uf.mul_mono((0, (1,)), (1, (0,)))
+prod, _ = Uf.mul_mono((0, (0,)), (1, ()))
 print("fat point, s*x      :", {k: str(v) for k, v in prod.items()},
       " (= x s + x, the anchor relation)")
 eps = Uf.augmentation_matrix()

@@ -110,10 +110,10 @@ class RepComplex:
                 out.append(Violation("map-shape", (a,)))
                 continue
             for b in range(L.m):
-                if not delta.mul(src.module.action[b]).sub(dst.module.action[b].mul(delta)).is_zero():
+                if delta.mul(src.module.action[b]) != dst.module.action[b].mul(delta):
                     out.append(Violation("map-not-A-linear", (a, b)))
             for i in range(L.n):
-                if not delta.mul(src.rho[i]).sub(dst.rho[i].mul(delta)).is_zero():
+                if delta.mul(src.rho[i]) != dst.rho[i].mul(delta):
                     out.append(Violation("map-not-equivariant", (a, i)))
         for a in range(len(self.maps) - 1):
             if not self.maps[a + 1].mul(self.maps[a]).is_zero():

@@ -119,7 +119,7 @@ def run(command: str, problem: ProblemFile, options: dict | None = None) -> tupl
             report["results"] = {
                 "degree": d,
                 "pbw_dim": U.dim,
-                "pbw_basis": [[a, list(alpha)] for a, alpha in U.basis],
+                "pbw_basis": [[a, [alpha.count(t) for t in range(U.L.n)]] for a, alpha in U.basis],
                 "multiplication_table": table,
                 "rinehart_exact_levels": sorted({t for (t, _) in exact_report.homology}),
                 "hom_iso": "ok",
@@ -178,16 +178,12 @@ def main(argv=None) -> int:
     ap.add_argument("--format", choices=("json", "text"), default="text")
     args = ap.parse_args(argv)
     try:
-        if args.field is None:
-            problem = parse(args.problem)
-        else:
-            from .problems import from_dict
-            with open(args.problem, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            data["field"] = {"type": "rational"} if args.field == "rational" \
+        field = None
+        if args.field is not None:
+            field = {"type": "rational"} if args.field == "rational" \
                 else {"type": "prime", "p": int(args.field)}
-            problem = from_dict(data)
-    except (ParseError, OSError, ValueError) as e:
+        problem = parse(args.problem, field)
+    except (ParseError, ValueError) as e:
         sys.stderr.write(f"input error: {e}\n")
         return 2
     options = {}

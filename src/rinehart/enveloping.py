@@ -10,7 +10,9 @@ the generators of C_i only for i <= d, so the differential d_i is transferred
 for i < d and Ext^i is certified against the CE complex for i < d.
 
 PBW normal form: algebra coefficients leftmost, then sections in ascending
-index.  Products are rewritten with the two defining relation families
+index, so the basis monomial e_a s_{i1} ... s_{ik} (i1 <= ... <= ik) is the
+pair (a, (i1, ..., ik)) and its degree is k.  Products are rewritten with the
+two defining relation families
 
     s f - f s = a(s)(f)          s_i s_j - s_j s_i = [s_i, s_j]
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 
 from .algebroid import LieRinehartAlgebroid, Representation, anchor_representation
@@ -34,26 +36,9 @@ from .errors import EngineError, ExactnessFailure, MismatchAt
 from .linalg import Matrix, RowBasis, add_block, add_entry, combination, dict_to_sparse
 
 
-def _monomials(n, dmax):
-    """All exponent tuples with total degree <= dmax, ascending degree then lex."""
-    out = []
-    for deg in range(dmax + 1):
-        out.extend(_monomials_of_degree(n, deg))
-    return out
-
-
-def _monomials_of_degree(n, deg):
-    if n == 0:
-        return [()] if deg == 0 else []
-    out = []
-    for first in range(deg, -1, -1):
-        for rest in _monomials_of_degree(n - 1, deg - first):
-            out.append((first,) + rest)
-    return out
-
-
 class TruncatedEnveloping:
-    """U(L) up to PBW degree d: basis {e_a s^alpha : |alpha| <= d}."""
+    """U(L) up to PBW degree d: basis {e_a s_alpha : len(alpha) <= d}, in
+    ascending degree, then alpha in lex order, then a."""
 
     def __init__(self, L: LieRinehartAlgebroid, cutoff: int):
         if cutoff < 1:
@@ -63,7 +48,8 @@ class TruncatedEnveloping:
         self.cutoff = cutoff
         self.alg = L.algebra
         m, n = L.m, L.n
-        self.basis = [(a, alpha) for alpha in _monomials(n, cutoff) for a in range(m)]
+        self.basis = [(a, alpha) for d in range(cutoff + 1)
+                      for alpha in combinations_with_replacement(range(n), d) for a in range(m)]
         self.index = {mono: i for i, mono in enumerate(self.basis)}
         assert len(self.basis) == m * comb(n + cutoff, cutoff)
         self._memo_s = {}
@@ -74,7 +60,7 @@ class TruncatedEnveloping:
         return len(self.basis)
 
     def degree(self, mono):
-        return sum(mono[1])
+        return len(mono[1])
 
     # -- elements are dicts {monomial: coefficient} -------------------------
 
@@ -95,63 +81,58 @@ class TruncatedEnveloping:
 
     def section(self, i):
         """s_i as an element (the unit coefficient spread over the A-basis)."""
-        alpha = tuple(1 if t == i else 0 for t in range(self.L.n))
-        return {(a, alpha): c for a, c in self.alg.sparse_unit}
+        return {(a, (i,)): c for a, c in self.alg.sparse_unit}
 
     def coefficient(self, f_coords):
         """The element of A with sparse coordinates f_coords."""
-        zero_alpha = (0,) * self.L.n
-        return {(a, zero_alpha): c for a, c in f_coords}
+        return {(a, ()): c for a, c in f_coords}
 
     def rmul_alg_mono(self, mono, b):
-        """Normal form of (e_a s^alpha) e_b; the degree never grows."""
+        """Normal form of (e_a s_alpha) e_b; the degree never grows."""
         key = (mono, b)
         hit = self._memo_alg.get(key)
         if hit is not None:
             return hit
         a, alpha = mono
-        if not any(alpha):
+        if not alpha:
             out = {(k, alpha): c for k, c in self.alg.sparse_mult[a][b]}
         else:
-            j = max(t for t in range(self.L.n) if alpha[t])
-            alpha_prev = tuple(x - 1 if t == j else x for t, x in enumerate(alpha))
-            head = self.rmul_alg_mono((a, alpha_prev), b)
+            j = alpha[-1]
+            prev = (a, alpha[:-1])
+            head = self.rmul_alg_mono(prev, b)
             out_acc = {}
             t1, ov = self.rmul_s_elem(head, j)
             assert not ov
             self._add_into(out_acc, t1)
             for c_idx, cv in self.L.anchors[j].column(b):
-                self._add_into(out_acc, self.rmul_alg_mono((a, alpha_prev), c_idx), cv)
+                self._add_into(out_acc, self.rmul_alg_mono(prev, c_idx), cv)
             out = self._clean(out_acc)
         self._memo_alg[key] = out
         return out
 
     def rmul_s_mono(self, mono, j):
-        """Normal form of (e_a s^alpha) s_j, with an overflow flag."""
+        """Normal form of (e_a s_alpha) s_j, with an overflow flag."""
         key = (mono, j)
         hit = self._memo_s.get(key)
         if hit is not None:
             return hit
         a, alpha = mono
-        deg = sum(alpha)
-        top = max((t for t in range(self.L.n) if alpha[t]), default=-1)
-        if top <= j:
-            if deg + 1 > self.cutoff:
+        if not alpha or alpha[-1] <= j:
+            if len(alpha) >= self.cutoff:
                 out = ({}, True)
             else:
-                alpha_new = tuple(x + 1 if t == j else x for t, x in enumerate(alpha))
-                out = ({(a, alpha_new): self.field.one}, False)
+                out = ({(a, alpha + (j,)): self.field.one}, False)
         else:
-            l = top
-            alpha_prev = tuple(x - 1 if t == l else x for t, x in enumerate(alpha))
-            swapped, ov1 = self.rmul_s_mono((a, alpha_prev), j)
+            l = alpha[-1]
+            prev = (a, alpha[:-1])
+            swapped, ov1 = self.rmul_s_mono(prev, j)
             t1, ov2 = self.rmul_s_elem(swapped, l)
             acc = {}
             self._add_into(acc, t1)
             # bracket correction [s_l, s_j], degree drops by one
             for t_idx, fl in self.L.bracket_terms[l, j]:
                 for c_idx, cv in fl:
-                    lowered = self.rmul_alg_mono((a, alpha_prev), c_idx)
+                    lowered = self.rmul_alg_mono(prev, c_idx)
                     piece, ov3 = self.rmul_s_elem(lowered, t_idx)
                     assert not ov3
                     self._add_into(acc, piece, cv)
@@ -173,10 +154,9 @@ class TruncatedEnveloping:
         b, beta = m2
         out = self.rmul_alg_mono(m1, b)
         overflow = False
-        for j in range(self.L.n):
-            for _ in range(beta[j]):
-                out, ov = self.rmul_s_elem(out, j)
-                overflow = overflow or ov
+        for j in beta:
+            out, ov = self.rmul_s_elem(out, j)
+            overflow = overflow or ov
         return out, overflow
 
     def mul(self, u, v):
@@ -194,9 +174,8 @@ class TruncatedEnveloping:
     def action_on_module(self, mono, R: Representation) -> Matrix:
         a, alpha = mono
         out = R.module.action[a]
-        for i in range(self.L.n):
-            for _ in range(alpha[i]):
-                out = out.mul(R.rho[i])
+        for i in alpha:
+            out = out.mul(R.rho[i])
         return out
 
     def element_action_on_module(self, elem, R: Representation) -> Matrix:
@@ -206,17 +185,15 @@ class TruncatedEnveloping:
 
     def augmentation_matrix(self) -> Matrix:
         """epsilon(u) = u . 1 as a map from U-coordinates to A-coordinates, with U
-        acting on A through the anchor.  s^alpha . 1 = rho_i(s^(alpha - e_i) . 1)
-        for the least i in alpha, one matrix-vector product from a vector of
-        lower degree, and e_a s^alpha . 1 is e_a times it."""
+        acting on A through the anchor.  s_alpha . 1 = rho_i(s_alpha' . 1) for
+        alpha = (i,) + alpha', one matrix-vector product from a vector of lower
+        degree, and e_a s_alpha . 1 is e_a times it."""
         A = anchor_representation(self.L)
-        lifted = {(0,) * self.L.n: self.alg.sparse_unit}   # alpha -> s^alpha . 1
+        lifted = {(): self.alg.sparse_unit}   # alpha -> s_alpha . 1
         cols = []
         for a, alpha in self.basis:
             if alpha not in lifted:
-                i = next(t for t, x in enumerate(alpha) if x)
-                lowered = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                lifted[alpha] = A.rho[i].apply(lifted[lowered])
+                lifted[alpha] = A.rho[alpha[0]].apply(lifted[alpha[1:]])
             cols.append(A.module.action[a].apply(lifted[alpha]))
         return Matrix.from_columns(self.field, self.alg.dim, cols)
 
@@ -228,17 +205,13 @@ class TruncatedEnveloping:
         """Deterministic multiplication table by rows.  m_i m_j lies within the
         cutoff exactly for the basis prefix deg m_j <= cutoff - deg m_i, and
         row i lists those products as (sorted terms, overflow); every later
-        product overflows and is not stored.  With j the last section index
-        of beta, m_i (e_b s^beta) is m_i (e_b s^(beta - e_j)), an earlier cell
-        of the row, times s_j: the last straightening step of mul_mono."""
+        product overflows and is not stored.  With beta = beta' + (j,),
+        m_i (e_b s_beta) is m_i (e_b s_beta'), an earlier cell of the row,
+        times s_j: the last straightening step of mul_mono."""
         degrees = [self.degree(mono) for mono in self.basis]
-        steps = []   # steps[k] = (index of the left factor, j), None at degree 0
-        for b, beta in self.basis:
-            if any(beta):
-                j = max(t for t, x in enumerate(beta) if x)
-                steps.append((self.index[(b, beta[:j] + (beta[j] - 1,) + beta[j + 1:])], j))
-            else:
-                steps.append(None)
+        # steps[k] = (index of the left factor, j), None at degree 0
+        steps = [(self.index[(b, beta[:-1])], beta[-1]) if beta else None
+                 for b, beta in self.basis]
         rows = []
         for m1, d1 in zip(self.basis, degrees):
             cells = []

@@ -229,7 +229,9 @@ def from_dict(data) -> ProblemFile:
     return ProblemFile(field, alg, L, module, complex_, extension, options)
 
 
-def parse(path) -> ProblemFile:
+def parse(path, field=None) -> ProblemFile:
+    """The problem in the file at path; a field block given as field replaces
+    the file's own when the file holds a JSON object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -237,6 +239,8 @@ def parse(path) -> ProblemFile:
         raise ParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
+    if field is not None and isinstance(data, dict):
+        data["field"] = field
     return from_dict(data)
 
 

@@ -18,8 +18,10 @@ M for each p, where the engine scales one cohomology by C(r, p); and
 `chained_table` straightens every product of the PBW table from scratch and
 `chained_augmentation` builds the action of each monomial as a chain of
 matrix products, where the engine takes one step from a product or a vector
-of lower degree.  The algebra product is evaluated here by dense loops over the structure constants (`mul_vec`),
-where the engine reads it off the regular module and the anchor
+of lower degree; `pbw_exponent_order` lists the PBW basis as exponent vectors
+by recursion, where the engine enumerates ascending index tuples.  The
+algebra product is evaluated here by dense loops over the structure constants
+(`mul_vec`), where the engine reads it off the regular module and the anchor
 representation.  The algebroid axioms are checked here on every k-basis pair
 and triple of the bracket's k-bilinear closure, where the engine reads tensors
 on the A-basis.
@@ -285,17 +287,29 @@ def chained_table(U):
     return out
 
 
+def pbw_exponent_order(n, dmax):
+    """The exponent vectors of the PBW monomials in n sections up to degree
+    dmax, in the order of the basis: ascending degree, then descending lex,
+    listed by a recursion on the first exponent where the engine enumerates
+    ascending index tuples."""
+    def of_degree(k, deg):
+        if k == 0:
+            return [()] if deg == 0 else []
+        return [(first,) + rest for first in range(deg, -1, -1)
+                for rest in of_degree(k - 1, deg - first)]
+    return [alpha for deg in range(dmax + 1) for alpha in of_degree(n, deg)]
+
+
 def chained_augmentation(U):
-    """epsilon as the matrix of e_a s^alpha acting on A, built as the chain of
-    matrix products rho_a rho_0^alpha_0 ... for each monomial and applied to
+    """epsilon as the matrix of e_a s_alpha acting on A, built as the chain of
+    matrix products rho_a rho_i1 rho_i2 ... for each monomial and applied to
     1, where the engine extends the vector of the monomial a degree lower."""
     A = anchor_representation(U.L)
     cols = []
     for a, alpha in U.basis:
         act = A.module.action[a]
-        for i, power in enumerate(alpha):
-            for _ in range(power):
-                act = act.mul(A.rho[i])
+        for i in alpha:
+            act = act.mul(A.rho[i])
         cols.append(act.apply(U.alg.sparse_unit))
     return Matrix.from_columns(U.field, U.alg.dim, cols)
 

@@ -4,7 +4,8 @@ behind its exactness on every level, the CE complex of the kernel behind the
 E_1 and E_2 certificates, the reduction of each filtered differential
 behind the spectral pages, the Lie-morphism check of a representation, the
 products of the regular module and the symbol commutators, the action of each
-bracket coefficient, and the validation of the algebra and of the extension.
+bracket coefficient, and the validation of the algebra and of the extension,
+which adapt reuses without a rank of its own.
 Validating a valid algebroid brackets no pair of k-vectors and makes a number
 of matrix products set by the A-basis, parsing builds a field element only
 for a nonzero scalar, the enveloping table reads each basis degree once and
@@ -135,6 +136,19 @@ def test_hs_builds_the_ce_complex_of_the_kernel_once(monkeypatch):
     (ad,) = adapted
     assert ad.r == 2
     assert sum(L is ad.K_sub for L in assembled) == 1
+
+
+def test_adapt_takes_no_rank_once_the_extension_is_validated(monkeypatch):
+    # the inversion of the change of basis decides by itself whether the
+    # adapted family is an A-basis
+    from rinehart import linalg
+    problem = parse(PROBLEMS / "ext_heis_center.json")
+    E = problem.extension_triple
+    assert E.violations == ()
+    calls = []
+    patch_everywhere(monkeypatch, linalg, "rank", recording(calls))
+    ad = extensions.adapt(E, problem.representation())
+    assert ad.r == 2 and calls == []
 
 
 def test_one_lie_morphism_loop_per_algebroid_and_representation(monkeypatch):

@@ -141,6 +141,17 @@ def test_total_complex_zero_map_kunneth_count():
     assert total_cohomology_dims(t) == [1, 3, 3, 1]
 
 
+def test_equivariant_map_that_is_not_a_linear_is_a_violation():
+    e = entry_map()["fatpoint_rank1"]
+    rep = e.representation
+    f = e.algebroid.field
+    # the projection onto the coefficient of 1 commutes with s = x d/dx, which
+    # kills 1, but not with x-multiplication: it sends x . 1 = x to 0
+    delta = Matrix.from_rows(f, [[f.one, f.zero], [f.zero, f.zero]])
+    violations = RepComplex([rep, rep], [delta]).validate(e.algebroid)
+    assert [(v.axiom, v.indices) for v in violations] == [("map-not-A-linear", (0, 1))]
+
+
 def test_total_complex_rejects_non_equivariant_map():
     e = entry_map()["fatpoint_rank1"]
     rep = e.representation

@@ -1,16 +1,19 @@
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from oracles import dense_vector, mul_vec, unit_vectors
+from oracles import dense_vector, mul_vec, pbw_exponent_order, unit_vectors
 from rinehart import catalog
 from rinehart.cecomplex import ce_dims
+from rinehart.cli import run
 from rinehart.enveloping import (ExactnessReport, TruncatedEnveloping, ext_dims,
                                  hom_complex_iso, rinehart_complex)
 from rinehart.errors import EngineError, ExactnessFailure, MismatchAt
 from rinehart.fields import QQ
 from rinehart.linalg import Matrix, dense_to_sparse
+from rinehart.problems import parse
 
 
 def abelian_rank1():
@@ -29,12 +32,34 @@ def test_pbw_count_formula_on_corpus():
         assert U.dim == L.m * comb(L.n + 3, 3), e.name
 
 
+def test_pbw_basis_order_matches_the_exponent_recursion():
+    # the report's table indices are positions in this order
+    algebroids = [e.algebroid for e in catalog.positive_entries()] + \
+        [catalog.lie_algebra(QQ, n, {}) for n in range(1, 6)]
+    for L in algebroids:
+        for cutoff in range(1, 6):
+            got = [(a, tuple(alpha.count(t) for t in range(L.n)))
+                   for a, alpha in TruncatedEnveloping(L, cutoff).basis]
+            assert got == [(a, alpha) for alpha in pbw_exponent_order(L.n, cutoff)
+                           for a in range(L.m)], (L.n, L.m, cutoff)
+
+
+def test_env_report_lists_the_basis_as_exponent_vectors():
+    problem = parse(Path(__file__).resolve().parents[1] / "problems" / "fatpoint_rank2.json")
+    report, code = run("env", problem, {"degree": 3})
+    L = problem.algebroid
+    assert code == 0 and (L.n, L.m) == (2, 2)
+    assert report["results"]["pbw_basis"] == [[a, list(alpha)]
+                                             for alpha in pbw_exponent_order(L.n, 3)
+                                             for a in range(L.m)]
+
+
 def test_polynomial_table_commutative_with_overflow():
     U = TruncatedEnveloping(abelian_rank1(), 3)
-    s1 = (0, (1,))
-    s2 = (0, (2,))
+    s1 = (0, (0,))
+    s2 = (0, (0, 0))
     prod, ov = U.mul_mono(s1, s2)
-    assert not ov and prod == {(0, (3,)): QQ.one}
+    assert not ov and prod == {(0, (0, 0, 0)): QQ.one}
     _, ov2 = U.mul_mono(s2, s2)
     assert ov2
 
@@ -44,9 +69,9 @@ def test_aff1_straightening_single_rewrite():
     L = catalog.aff1().algebroid
     U = TruncatedEnveloping(L, 2)
     assert U.dim == 6
-    prod, ov = U.mul_mono((0, (0, 1)), (0, (1, 0)))
+    prod, ov = U.mul_mono((0, (1,)), (0, (0,)))
     assert not ov
-    assert prod == {(0, (1, 1)): Fraction(1), (0, (1, 0)): Fraction(-1)}
+    assert prod == {(0, (0, 1)): Fraction(1), (0, (0,)): Fraction(-1)}
 
 
 def test_fatpoint_relation_instance():
@@ -54,9 +79,9 @@ def test_fatpoint_relation_instance():
     L = catalog.fatpoint_rank1().algebroid
     U = TruncatedEnveloping(L, 2)
     assert U.dim == 2 * comb(3, 2)
-    prod, ov = U.mul_mono((0, (1,)), (1, (0,)))
+    prod, ov = U.mul_mono((0, (0,)), (1, ()))
     assert not ov
-    assert prod == {(1, (1,)): Fraction(1), (1, (0,)): Fraction(1)}
+    assert prod == {(1, (0,)): Fraction(1), (1, ()): Fraction(1)}
 
 
 def test_defining_relations_on_corpus():
@@ -87,8 +112,7 @@ def test_defining_relations_on_corpus():
                 for l in range(L.n):
                     for c_idx, cv in enumerate(L.bracket[i][j][l]):
                         if cv:
-                            alpha = tuple(1 if t == l else 0 for t in range(L.n))
-                            expected[(c_idx, alpha)] = cv
+                            expected[(c_idx, (l,))] = cv
                 assert diff == expected, (e.name, i, j)
 
 
@@ -218,7 +242,7 @@ def test_hom_iso_reads_the_resolution():
     e = catalog.heisenberg3()
     cx, _ = rinehart_complex(e.algebroid, 3)
     U = cx.U
-    unit_mono = (0, (0, 0, 0))
+    unit_mono = (0, ())
     col = cx.bases[2].index((unit_mono, (0, 1)))
     row = cx.bases[1].index((unit_mono, (2,)))
     rows = [list(r) for r in cx.partials[2].entries]

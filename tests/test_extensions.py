@@ -57,6 +57,14 @@ def test_maps_whose_ranks_add_up_but_whose_composition_is_nonzero_are_not_exact(
     assert [v.axiom for v in validate_extension(E)] == ["not-exact-in-middle"]
 
 
+def test_splitting_that_is_not_a_section_is_rejected():
+    # L = k^2 abelian, K = span{s_0}, sigma(q) = 2 s_1: pi sigma = 2 != 1
+    f = QQ
+    E = extension_from_k_indices(catalog.abelian2().algebroid, [0],
+                                 [[(f.zero,), (f.one + f.one,)]])
+    assert [v.axiom for v in validate_extension(E)] == ["sigma-not-a-section"]
+
+
 def test_nonzero_kernel_anchor_rejected():
     # fat point rank 2 with K = span{s1}: a(s1) = x d/dx is nonzero
     entry = catalog.fatpoint_rank2()

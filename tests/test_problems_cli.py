@@ -57,6 +57,31 @@ def test_missing_file_is_input_error(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+FIELD_OVERRIDES = ([], ["--field", "5"], ["--field", "rational"])
+
+
+@pytest.mark.parametrize("flags", FIELD_OVERRIDES)
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null"])
+def test_non_object_problem_is_input_error_under_any_field(tmp_path, capsys, text, flags):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    code = main(["validate", str(path)] + flags)
+    assert code == 2
+    assert capsys.readouterr().err == "input error: problem must be a JSON object\n"
+
+
+@pytest.mark.parametrize("text", [None, "{bad"])
+def test_unreadable_file_message_ignores_the_field_override(tmp_path, capsys, text):
+    path = tmp_path / "problem.json"
+    if text is not None:
+        path.write_text(text)
+    errs = []
+    for flags in FIELD_OVERRIDES:
+        assert main(["validate", str(path)] + flags) == 2
+        errs.append(capsys.readouterr().err)
+    assert str(path) in errs[0] and errs == [errs[0]] * len(FIELD_OVERRIDES)
+
+
 def test_validate_ok_exit_zero(capsys):
     code = main(["validate", str(PROBLEMS / "sl2.json"), "--format", "json"])
     out = capsys.readouterr().out

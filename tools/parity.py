@@ -8,7 +8,7 @@ differs names a run whose report bytes, messages or exit code moved.
 
 The runs are every file in problems/ and problems/negative/ under each CLI
 command, over the file's own field, Q, F_101 and F_2, with max_page
-default/1/2/6, degree default/1/2/4 and json and text output; and SEEDS seeded
+default/1/2/6, degree default/1/2/4/5 and json and text output; and SEEDS seeded
 perturbations of each file (one to three scalars of the structure constants,
 the module or the splitting redrawn from -2..2) under validate and hs over Q
 and F_3, so that invalid inputs reach every fallback.  All runs go through
@@ -32,7 +32,7 @@ from rinehart import cli  # noqa: E402
 
 FIELDS = (None, "rational", "101", "2")
 MAX_PAGES = (None, "1", "2", "6")
-DEGREES = (None, "1", "2", "4")
+DEGREES = (None, "1", "2", "4", "5")
 FORMATS = ("json", "text")
 SEEDS = 40
 PERTURBED_COMMANDS = ("validate", "hs")
