@@ -7,13 +7,17 @@ scalar-symbol operators on a module together with its symbol sequence
     0 -> End_A(M) -> D(M) -> Der_k(A).
 """
 
-from rinehart import (AModule, GF, QQ, atiyah_object, derivation_space,
+from pathlib import Path
+
+from rinehart import (AModule, QQ, atiyah_object, derivation_space, parse,
                       regular_module, validate_algebra)
 from rinehart.algebra import matrix_from_flat
-from rinehart.catalog import dual_numbers
 from rinehart.linalg import Matrix
 
-a = dual_numbers(QQ)
+# the base algebra of the fat-point algebroids is the dual numbers
+DUAL_NUMBERS = Path(__file__).resolve().parents[1] / "problems" / "fatpoint_rank1.json"
+
+a = parse(DUAL_NUMBERS).algebra
 print("algebra: k[x]/(x^2) on the basis {1, x}")
 print("axioms:", validate_algebra(a) or "all hold")
 
@@ -24,7 +28,7 @@ print("spanning derivation (sends 1 -> 0, x -> x, i.e. x d/dx):")
 for row in d.entries:
     print("  ", [str(v) for v in row])
 
-der2 = derivation_space(dual_numbers(GF(2)))
+der2 = derivation_space(parse(DUAL_NUMBERS, {"type": "prime", "p": 2}).algebra)
 print(f"\nthe same table over F_2 has derivation dimension {der2.dim}")
 print("(the constraint 2 a x = 0 disappears in characteristic 2)")
 

@@ -6,24 +6,31 @@ computed with exact arithmetic.  The final block shows the same structure
 constants producing different dims in characteristic 2.
 """
 
-from rinehart import catalog
+from pathlib import Path
+
 from rinehart.algebroid import invariants, validate_algebroid
 from rinehart.cecomplex import ce_dims
+from rinehart.problems import parse
 
-for entry in catalog.positive_entries():
-    L = entry.algebroid
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+for name in ("abelian2", "sl2", "heisenberg3", "aff1", "fatpoint_rank1", "fatpoint_rank2",
+             "split_example", "heisenberg3_f2", "sl2_f2"):
+    problem = parse(PROBLEMS / f"{name}.json")
+    L = problem.algebroid
     issues = validate_algebroid(L)
-    dims = ce_dims(L, entry.representation)
-    inv = invariants(L, entry.representation)
-    print(f"{entry.name:18s} field={L.field.describe():4s} rank={L.n} "
+    dims = ce_dims(L, problem.representation())
+    inv = invariants(L, problem.representation())
+    print(f"{name:18s} field={L.field.describe():4s} rank={L.n} "
           f"dim_k A={L.m}  H dims={dims}  invariants={inv.dim}  "
           f"valid={'yes' if not issues else issues}")
 
 print("\na deliberately corrupted sl2 table:")
-bad = catalog.bad_jacobi_sl2()
+bad = parse(PROBLEMS / "negative" / "bad_jacobi_sl2.json").algebroid
 for v in validate_algebroid(bad):
     print("  violation:", v.describe())
 
 print("\ncharacteristic sensitivity of the sl2 structure constants:")
-print("  over Q  :", ce_dims(catalog.sl2().algebroid, catalog.sl2().representation))
-print("  over F_2:", ce_dims(catalog.sl2_f2().algebroid, catalog.sl2_f2().representation))
+for label, name in (("over Q  ", "sl2"), ("over F_2", "sl2_f2")):
+    problem = parse(PROBLEMS / f"{name}.json")
+    print(f"  {label}:", ce_dims(problem.algebroid, problem.representation()))

@@ -7,14 +7,18 @@ computation (E1 against kernel cohomology with form coefficients, E2 against
 quotient cohomology with the induced action).
 """
 
-from rinehart import catalog
-from rinehart.extensions import extension_from_k_indices, induced_q_rep
+from pathlib import Path
+
+from rinehart.extensions import induced_q_rep
 from rinehart.hochschild import check_e1, check_e2, five_term, hs_pages
 from rinehart.linalg import rank
+from rinehart.problems import parse
 
-entry = catalog.heisenberg3()
-E = extension_from_k_indices(entry.algebroid, [2])   # center as the kernel
-rep = entry.representation
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+heis = parse(PROBLEMS / "ext_heis_center.json")   # center as the kernel
+E = heis.extension_triple
+rep = heis.representation()
 
 hp = hs_pages(E, rep, r_max=3)
 print("Heisenberg / center extension, trivial coefficients")
@@ -45,7 +49,6 @@ for q in (0, 1):
     print(f"  H^{q}(K;k): dim {r.module.dim}, action matrices {mats} (central kernel: trivial)")
 
 print("\nfat-point extension over k[x]/(x^2):")
-fp = catalog.fatpoint_rank2()
-Ef = extension_from_k_indices(fp.algebroid, [1])
-hpf = hs_pages(Ef, fp.representation, r_max=2)
+fp = parse(PROBLEMS / "ext_fatpoint.json")
+hpf = hs_pages(fp.extension_triple, fp.representation(), r_max=2)
 print("  E_2 dims:", hpf.page(2).dims(), " converged:", hpf.converged)

@@ -13,8 +13,8 @@ from .algebra import (AModule, AtiyahObject, FiniteAlgebra, Violation,
                       atiyah_object, derivation_space, endomorphism_space,
                       regular_module, validate_algebra)
 from .algebroid import (LieRinehartAlgebroid, Representation, anchor_representation,
-                        invariants, leibniz_bracket, trivial_representation,
-                        validate_algebroid, validate_representation)
+                        invariants, leibniz_bracket, validate_algebroid,
+                        validate_representation)
 from .cecomplex import CEComplex, RepComplex, ce_complex, ce_dims, total_complex
 from .complexes import (CochainComplex, Cohomology, EdgeMaps, FilteredComplex,
                         SpectralPage, edge_maps, spectral_pages, total_cohomology_dims)

@@ -290,16 +290,6 @@ class Representation:
         return combination(self.module.field, N, N, ((x, hats[u]) for u, x in v))
 
 
-def trivial_representation(L: LieRinehartAlgebroid) -> Representation:
-    """The classical trivial representation k with rho = 0, for A = k only."""
-    if L.m != 1:
-        raise ValueError("trivial representation needs A = k; use anchor_representation")
-    f = L.field
-    mod = AModule(L.algebra, 1, [Matrix.identity(f, 1)])
-    zero = Matrix.zero(f, 1, 1)
-    return Representation(mod, [zero] * L.n)
-
-
 def anchor_representation(L: LieRinehartAlgebroid) -> Representation:
     """A as a representation of L, acting through the anchor; built once per L."""
     if L._anchor_rep is None:

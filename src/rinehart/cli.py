@@ -162,6 +162,16 @@ def render_text(report: dict) -> str:
     return "\n".join(_render_lines(report, 0)) + "\n"
 
 
+def _field_block(text: str) -> dict:
+    """The field block that --field names: 'rational' or a prime."""
+    if text == "rational":
+        return {"type": "rational"}
+    try:
+        return {"type": "prime", "p": int(text)}
+    except ValueError:
+        raise ParseError(f"--field must be 'rational' or a prime, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="rinehart",
@@ -178,10 +188,7 @@ def main(argv=None) -> int:
     ap.add_argument("--format", choices=("json", "text"), default="text")
     args = ap.parse_args(argv)
     try:
-        field = None
-        if args.field is not None:
-            field = {"type": "rational"} if args.field == "rational" \
-                else {"type": "prime", "p": int(args.field)}
+        field = None if args.field is None else _field_block(args.field)
         problem = parse(args.problem, field)
     except (ParseError, ValueError) as e:
         sys.stderr.write(f"input error: {e}\n")

@@ -155,9 +155,3 @@ def hs_report(E: ExtensionTriple, R: Representation, r_max: int | None = None):
     """One-stop structure for the CLI: filtration, pages, certificates, five-term."""
     hp = hs_pages(E, R, r_max)
     return hp, check_e1(hp), check_e2(hp), five_term(hp)
-
-
-def k_cohomology_dims(E: ExtensionTriple, R: Representation) -> list[int]:
-    """dims of H^q(K; M), read off the CE complex of the kernel that check_e1
-    and check_e2 share."""
-    return total_cohomology_dims(adapt(E, R).ce_kernel.complex)

@@ -237,7 +237,8 @@ def parse(path, field=None) -> ProblemFile:
             data = json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # malformed JSON, bytes that are not UTF-8, or an int past Python's digit limit
         raise ParseError(f"{path} is not valid JSON: {e}") from e
     if field is not None and isinstance(data, dict):
         data["field"] = field

@@ -7,9 +7,7 @@ All comparisons are exact; the only tolerances are the stated runtime caps.
 import json
 import time
 from math import comb
-from pathlib import Path
 
-from rinehart import catalog
 from rinehart.algebroid import validate_algebroid, validate_representation
 from rinehart.cecomplex import RepComplex, ce_complex, ce_dims, total_complex
 from rinehart.cli import render_json, run
@@ -20,8 +18,7 @@ from rinehart.hochschild import check_e1, check_e2, five_term, hs_pages
 from rinehart.linalg import Matrix
 from rinehart.problems import parse
 
-ROOT = Path(__file__).resolve().parents[1]
-PROBLEMS = ROOT / "problems"
+from corpus import CE_DIMS, EXTENSIONS, POSITIVE, PROBLEMS, load
 
 
 def report_line(n, text):
@@ -30,42 +27,34 @@ def report_line(n, text):
 
 def test_acceptance_1_axiom_suite():
     t0 = time.monotonic()
-    entries = catalog.positive_entries()
-    assert len(entries) >= 8
-    for e in entries:
-        assert validate_algebroid(e.algebroid) == [], e.name
-        assert validate_representation(e.algebroid, e.representation) == [], e.name
-        ce = ce_complex(e.algebroid, e.representation)   # asserts d^2 = 0 exactly
+    assert len(POSITIVE) >= 8
+    for name in POSITIVE:
+        p = load(name)
+        assert validate_algebroid(p.algebroid) == [], name
+        assert validate_representation(p.algebroid, p.representation()) == [], name
+        ce = ce_complex(p.algebroid, p.representation())   # asserts d^2 = 0 exactly
         for i in range(len(ce.complex.diffs) - 1):
             assert ce.complex.diffs[i + 1].mul(ce.complex.diffs[i]).is_zero()
     # negative corpus: the right violation, with a witness
-    vs = validate_algebroid(catalog.bad_jacobi_sl2())
+    vs = validate_algebroid(load("bad_jacobi_sl2").algebroid)
     assert any(v.axiom == "jacobi" and v.indices == (0, 1, 2) for v in vs)
     from rinehart.algebra import validate_algebra
-    vs = validate_algebra(catalog.bad_unit_algebra())
+    vs = validate_algebra(load("bad_unit_algebra").algebra)
     assert any(v.axiom == "unit" for v in vs)
-    L, rep = catalog.bad_flatness_rep()
-    assert any(v.axiom == "flatness" for v in validate_representation(L, rep))
-    E = extension_from_k_indices(catalog.aff1().algebroid, [1])
+    bad = load("bad_rep_flatness")
+    assert any(v.axiom == "flatness" for v in validate_representation(bad.algebroid, bad.module))
+    E = extension_from_k_indices(load("aff1").algebroid, [1])
     assert any(v.axiom in ("iota-bracket", "pi-bracket") for v in validate_extension(E))
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"axiom suite took {elapsed:.2f}s"
-    report_line(1, f"{len(entries)} algebroids validate, d^2 = 0, negative corpus "
+    report_line(1, f"{len(POSITIVE)} algebroids validate, d^2 = 0, negative corpus "
                    f"localized; {elapsed:.2f}s < 5s")
 
 
 def test_acceptance_2_classical_oracle():
-    expected = {
-        "abelian2": [1, 2, 1],
-        "sl2": [1, 0, 0, 1],
-        "heisenberg3": [1, 2, 2, 1],
-        "aff1": [1, 1, 0],
-        "fatpoint_rank1": [1, 1],
-    }
-    entries = {e.name: e for e in catalog.positive_entries()}
-    for name, dims in expected.items():
-        e = entries[name]
-        got = ce_dims(e.algebroid, e.representation)
+    for name, dims in CE_DIMS.items():
+        p = load(name)
+        got = ce_dims(p.algebroid, p.representation())
         assert got == dims, (name, got, dims)
     report_line(2, "CE dims equal the hand-derived classical table exactly")
 
@@ -73,16 +62,17 @@ def test_acceptance_2_classical_oracle():
 def test_acceptance_3_main_theorem_shadow():
     t0 = time.monotonic()
     d = 3
-    for e in catalog.positive_entries():
-        L = e.algebroid
+    for name in POSITIVE:
+        p = load(name)
+        L = p.algebroid
         cx, exact = rinehart_complex(L, d)
-        assert cx.U.dim == L.m * comb(L.n + d, d), e.name
-        assert exact.ok, e.name
-        assert all(h == 0 for h in exact.homology.values()), e.name
-        cert = hom_complex_iso(cx, e.representation)
-        assert cert.ok, e.name
+        assert cx.U.dim == L.m * comb(L.n + d, d), name
+        assert exact.ok, name
+        assert all(h == 0 for h in exact.homology.values()), name
+        cert = hom_complex_iso(cx, p.representation())
+        assert cert.ok, name
         exts = ext_dims(exact, cert)
-        assert [x for _, x in exts] == ce_dims(L, e.representation), e.name
+        assert [x for _, x in exts] == ce_dims(L, p.representation()), name
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"enveloping suite took {elapsed:.2f}s"
     report_line(3, f"PBW counts, resolution exactness (t <= {d}), hom-transfer "
@@ -90,10 +80,11 @@ def test_acceptance_3_main_theorem_shadow():
 
 
 def test_acceptance_4_spectral_suite():
-    for name, entry, k_indices, sigma in catalog.extension_entries():
-        E = extension_from_k_indices(entry.algebroid, k_indices, sigma)
+    for name in EXTENSIONS:
+        p = load(name)
+        E = p.extension_triple
         assert validate_extension(E) == [], name
-        hp = hs_pages(E, entry.representation, r_max=2)
+        hp = hs_pages(E, p.representation(), r_max=2)
         assert hp.filtration.graded_ok, name
         assert check_e1(hp).ok, name
         assert check_e2(hp).ok, name
@@ -105,13 +96,13 @@ def test_acceptance_4_spectral_suite():
 
 
 def test_acceptance_5_complexes():
-    e = catalog.heisenberg3()
-    rep = e.representation
-    cone = RepComplex([rep, rep], [Matrix.identity(e.algebroid.field, 1)])
-    assert total_cohomology_dims(total_complex(e.algebroid, cone)) == [0, 0, 0, 0, 0]
+    p = load("heisenberg3")
+    rep = p.representation()
+    cone = RepComplex([rep, rep], [Matrix.identity(p.field, 1)])
+    assert total_cohomology_dims(total_complex(p.algebroid, cone)) == [0, 0, 0, 0, 0]
     single = RepComplex([rep], [])
-    assert total_cohomology_dims(total_complex(e.algebroid, single)) == \
-        ce_dims(e.algebroid, rep)
+    assert total_cohomology_dims(total_complex(p.algebroid, single)) == \
+        ce_dims(p.algebroid, rep)
     report_line(5, "identity-cone hypercohomology vanishes; single-term total "
                    "complex equals CE cohomology")
 

@@ -4,27 +4,27 @@ from oracles import is_derivation
 from rinehart.algebra import (AModule, FiniteAlgebra, atiyah_object, derivation_space,
                               endomorphism_space, matrix_from_flat, regular_module,
                               validate_algebra)
-from rinehart.fields import GF, QQ
+from rinehart.fields import QQ
 from rinehart.linalg import Matrix, dense_to_sparse
 
-
-def base_field_algebra(field=QQ):
-    one = field.one
-    return FiniteAlgebra(field, 1, [[(one,)]], (one,))
+from corpus import load
 
 
-def dual_numbers(field=QQ):
+F2 = {"type": "prime", "p": 2}
+
+
+def base_field_algebra():
+    return load("abelian2").algebra
+
+
+def dual_numbers(field=None):
     """k[x]/(x^2) on the basis {1, x}."""
-    o, z = field.one, field.zero
-    mult = [[(o, z), (z, o)], [(z, o), (z, z)]]
-    return FiniteAlgebra(field, 2, mult, (o, z))
+    return load("fatpoint_rank1", field).algebra
 
 
-def split_algebra(field=QQ):
+def split_algebra():
     """k + k with orthogonal idempotents."""
-    o, z = field.one, field.zero
-    mult = [[(o, z), (z, z)], [(z, z), (z, o)]]
-    return FiniteAlgebra(field, 2, mult, (o, o))
+    return load("split_example").algebra
 
 
 def test_base_field_is_valid():
@@ -41,9 +41,7 @@ def test_split_algebra_valid():
 
 def test_broken_unit_detected():
     # 1*1 deliberately set to x: the unit law fails and is localized
-    o, z = QQ.one, QQ.zero
-    mult = [[(z, o), (z, o)], [(z, o), (z, z)]]
-    a = FiniteAlgebra(QQ, 2, mult, (o, z))
+    a = load("bad_unit_algebra").algebra
     axioms = {v.axiom for v in validate_algebra(a)}
     assert "unit" in axioms
 
@@ -74,7 +72,7 @@ def test_derivations_of_dual_numbers():
 
 def test_derivations_of_dual_numbers_char2():
     # in characteristic 2 the constraint 2 a x = 0 disappears: extra derivation
-    assert derivation_space(dual_numbers(GF(2))).dim == 2
+    assert derivation_space(dual_numbers(F2)).dim == 2
 
 
 def test_derivations_of_split_algebra_vanish():
@@ -83,7 +81,7 @@ def test_derivations_of_split_algebra_vanish():
 
 
 def test_derivation_space_closed_under_commutator():
-    for a in [dual_numbers(), dual_numbers(GF(2)), split_algebra()]:
+    for a in [dual_numbers(), dual_numbers(F2), split_algebra()]:
         der = derivation_space(a)
         mats = [matrix_from_flat(a.field, v, a.dim, a.dim) for v in der.basis]
         for d1 in mats:

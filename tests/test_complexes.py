@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rinehart import catalog
 from rinehart.complexes import (CochainComplex, FilteredComplex, edge_maps, spectral_pages,
                                 total_cohomology_dims)
 from rinehart.errors import (ConstructionInconsistent, DegreeOutOfRange,
                              EngineError, IncompatibleFiltration)
-from rinehart.extensions import extension_from_k_indices
 from rinehart.fields import GF, QQ
 from rinehart.hochschild import hs_filtration
 from rinehart.linalg import Matrix, rank
 
+from corpus import load
 from oracles import five_term_exactness, limit_page_dims, subquotient_page_dims
 
 
@@ -136,9 +135,8 @@ def page_ranks(page):
 
 
 def test_pages_invariant_under_basis_permutation():
-    entry = next(e for name, e, _, _ in catalog.extension_entries() if name == "ext_heis_center")
-    E = extension_from_k_indices(entry.algebroid, [2])
-    heis = hs_filtration(E, entry.representation).filtered
+    p = load("ext_heis_center")
+    heis = hs_filtration(p.extension_triple, p.representation()).filtered
     for fc, perms in ((aff1_hs_filtration(), [[0], [1, 0], [0]]),
                       (heis, [list(range(d))[::-1] for d in heis.complex.dims])):
         p1, e1, r1 = spectral_pages(fc, 3)

@@ -1,11 +1,10 @@
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 
 import pytest
 
+from corpus import POSITIVE, abelian, load
 from oracles import dense_vector, mul_vec, pbw_exponent_order, unit_vectors
-from rinehart import catalog
 from rinehart.cecomplex import ce_dims
 from rinehart.cli import run
 from rinehart.enveloping import (ExactnessReport, TruncatedEnveloping, ext_dims,
@@ -13,29 +12,25 @@ from rinehart.enveloping import (ExactnessReport, TruncatedEnveloping, ext_dims,
 from rinehart.errors import EngineError, ExactnessFailure, MismatchAt
 from rinehart.fields import QQ
 from rinehart.linalg import Matrix, dense_to_sparse
-from rinehart.problems import parse
-
-
-def abelian_rank1():
-    return catalog.lie_algebra(QQ, 1, {})
 
 
 def test_pbw_count_abelian_rank1():
-    U = TruncatedEnveloping(abelian_rank1(), 3)
+    U = TruncatedEnveloping(abelian(1), 3)
     assert U.dim == 4      # 1, s, s^2, s^3
 
 
 def test_pbw_count_formula_on_corpus():
-    for e in catalog.positive_entries():
+    for name in POSITIVE:
+        e = load(name)
         L = e.algebroid
         U = TruncatedEnveloping(L, 3)
-        assert U.dim == L.m * comb(L.n + 3, 3), e.name
+        assert U.dim == L.m * comb(L.n + 3, 3), name
 
 
 def test_pbw_basis_order_matches_the_exponent_recursion():
     # the report's table indices are positions in this order
-    algebroids = [e.algebroid for e in catalog.positive_entries()] + \
-        [catalog.lie_algebra(QQ, n, {}) for n in range(1, 6)]
+    algebroids = [load(name).algebroid for name in POSITIVE] + \
+        [abelian(n) for n in (1, 3, 4, 5)]
     for L in algebroids:
         for cutoff in range(1, 6):
             got = [(a, tuple(alpha.count(t) for t in range(L.n)))
@@ -45,7 +40,7 @@ def test_pbw_basis_order_matches_the_exponent_recursion():
 
 
 def test_env_report_lists_the_basis_as_exponent_vectors():
-    problem = parse(Path(__file__).resolve().parents[1] / "problems" / "fatpoint_rank2.json")
+    problem = load("fatpoint_rank2")
     report, code = run("env", problem, {"degree": 3})
     L = problem.algebroid
     assert code == 0 and (L.n, L.m) == (2, 2)
@@ -55,7 +50,7 @@ def test_env_report_lists_the_basis_as_exponent_vectors():
 
 
 def test_polynomial_table_commutative_with_overflow():
-    U = TruncatedEnveloping(abelian_rank1(), 3)
+    U = TruncatedEnveloping(abelian(1), 3)
     s1 = (0, (0,))
     s2 = (0, (0, 0))
     prod, ov = U.mul_mono(s1, s2)
@@ -66,7 +61,7 @@ def test_polynomial_table_commutative_with_overflow():
 
 def test_aff1_straightening_single_rewrite():
     # e2 e1 = e1 e2 + [e2, e1] = e1 e2 - e1
-    L = catalog.aff1().algebroid
+    L = load("aff1").algebroid
     U = TruncatedEnveloping(L, 2)
     assert U.dim == 6
     prod, ov = U.mul_mono((0, (1,)), (0, (0,)))
@@ -76,7 +71,7 @@ def test_aff1_straightening_single_rewrite():
 
 def test_fatpoint_relation_instance():
     # s x = x s + a(s)(x) = x s + x
-    L = catalog.fatpoint_rank1().algebroid
+    L = load("fatpoint_rank1").algebroid
     U = TruncatedEnveloping(L, 2)
     assert U.dim == 2 * comb(3, 2)
     prod, ov = U.mul_mono((0, (0,)), (1, ()))
@@ -85,7 +80,8 @@ def test_fatpoint_relation_instance():
 
 
 def test_defining_relations_on_corpus():
-    for e in catalog.positive_entries():
+    for name in POSITIVE:
+        e = load(name)
         L = e.algebroid
         U = TruncatedEnveloping(L, 2)
         # s_i f - f s_i = a(s_i)(f)
@@ -98,7 +94,7 @@ def test_defining_relations_on_corpus():
                     diff[mono] = diff.get(mono, L.field.zero) - c
                 diff = {k: v for k, v in diff.items() if v}
                 expected = U.coefficient(L.anchors[i].apply(L.algebra.basis_vector(b)))
-                assert diff == expected, (e.name, i, b)
+                assert diff == expected, (name, i, b)
         # s_i s_j - s_j s_i = [s_i, s_j]
         for i in range(L.n):
             for j in range(L.n):
@@ -113,13 +109,13 @@ def test_defining_relations_on_corpus():
                     for c_idx, cv in enumerate(L.bracket[i][j][l]):
                         if cv:
                             expected[(c_idx, (l,))] = cv
-                assert diff == expected, (e.name, i, j)
+                assert diff == expected, (name, i, j)
 
 
 def test_straightening_confluence():
     # associativity wherever all degrees stay inside the cutoff
     for name in ("sl2", "aff1", "fatpoint_rank2", "split_example", "heisenberg3_f2"):
-        e = {x.name: x for x in catalog.positive_entries()}[name]
+        e = load(name)
         U = TruncatedEnveloping(e.algebroid, 3)
         monos = [m for m in U.basis if U.degree(m) <= 1]
         for m1 in monos:
@@ -134,7 +130,7 @@ def test_straightening_confluence():
 
 
 def test_augmentation_values():
-    L = catalog.fatpoint_rank1().algebroid
+    L = load("fatpoint_rank1").algebroid
     U = TruncatedEnveloping(L, 2)
     eps = U.augmentation_matrix()
     one_vec = U.to_vector(U.unit())
@@ -146,34 +142,36 @@ def test_augmentation_values():
 
 
 def test_action_respects_relations():
-    for e in catalog.positive_entries():
+    for name in POSITIVE:
+        e = load(name)
         L = e.algebroid
         U = TruncatedEnveloping(L, 2)
-        R = e.representation
+        R = e.representation()
         for i in range(L.n):
             for b in range(L.m):
                 lhs = R.rho[i].mul(R.module.action[b]).sub(R.module.action[b].mul(R.rho[i]))
                 rhs = R.module.act_vec(L.anchors[i].apply(L.algebra.basis_vector(b)))
-                assert lhs.sub(rhs).is_zero(), e.name
+                assert lhs.sub(rhs).is_zero(), name
 
 
 def test_rinehart_exactness_koszul():
-    L = catalog.abelian2().algebroid
+    L = load("abelian2").algebroid
     cx, report = rinehart_complex(L, 3)
     assert report.ok
     assert all(h == 0 for h in report.homology.values())
 
 
 def test_rinehart_exactness_corpus():
-    for e in catalog.positive_entries():
+    for name in POSITIVE:
+        e = load(name)
         cx, report = rinehart_complex(e.algebroid, 3)
-        assert report.ok, e.name
+        assert report.ok, name
 
 
 def test_partial_is_u_linear_in_u():
     # partial(v (u (x) w)) = v partial(u (x) w) for degree <= 1 left factors v
     for name in ("sl2", "fatpoint_rank2"):
-        e = {x.name: x for x in catalog.positive_entries()}[name]
+        e = load(name)
         L = e.algebroid
         cx, _ = rinehart_complex(L, 3)
         U = cx.U
@@ -215,23 +213,23 @@ def resolution_ext(L, R, d):
 
 
 def test_hom_iso_aff1_hand_matrices():
-    e = catalog.aff1()
-    cert = hom_complex_iso(rinehart_complex(e.algebroid, 3)[0], e.representation)
+    e = load("aff1")
+    cert = hom_complex_iso(rinehart_complex(e.algebroid, 3)[0], e.representation())
     # trivial coefficients: d0 = 0, transferred d1 = (-1 0) including the sign
     assert cert.transferred[0].is_zero()
     assert cert.transferred[1].entries == ((Fraction(-1), Fraction(0)),)
 
 
 def test_hom_iso_corpus():
-    for e in catalog.positive_entries():
-        cert = hom_complex_iso(rinehart_complex(e.algebroid, 3)[0], e.representation)
-        assert cert.ok, e.name
+    for name in POSITIVE:
+        e = load(name)
+        cert = hom_complex_iso(rinehart_complex(e.algebroid, 3)[0], e.representation())
+        assert cert.ok, name
 
 
 def test_hom_iso_sl2_adjoint():
-    e = catalog.sl2()
-    cert = hom_complex_iso(rinehart_complex(e.algebroid, 3)[0],
-                           e.extra_representations["adjoint"])
+    e = load("sl2_adjoint")
+    cert = hom_complex_iso(rinehart_complex(e.algebroid, 3)[0], e.module)
     shapes = [(m.rows, m.cols) for m in cert.transferred]
     assert shapes == [(9, 3), (9, 9), (3, 9)]
 
@@ -239,7 +237,7 @@ def test_hom_iso_sl2_adjoint():
 def test_hom_iso_reads_the_resolution():
     # corrupt one entry of the generator column 1 (x) s_0 s_1 of partial_2: the
     # bracket term -[s_0, s_1] (x) 1 = -1 (x) s_2; the transfer must notice
-    e = catalog.heisenberg3()
+    e = load("heisenberg3")
     cx, _ = rinehart_complex(e.algebroid, 3)
     U = cx.U
     unit_mono = (0, ())
@@ -250,51 +248,52 @@ def test_hom_iso_reads_the_resolution():
     rows[row][col] = -rows[row][col]
     cx.partials[2] = Matrix.from_rows(U.field, rows)
     with pytest.raises(MismatchAt) as err:
-        hom_complex_iso(cx, e.representation)
+        hom_complex_iso(cx, e.representation())
     assert err.value.degree == 1
 
 
 def test_hom_iso_below_the_rank_transfers_what_exists():
     # at cutoff 2 the resolution of h_3 has no generator in degree 3
-    e = catalog.heisenberg3()
+    e = load("heisenberg3")
     cx, report = rinehart_complex(e.algebroid, 2)
-    cert = hom_complex_iso(cx, e.representation)
+    cert = hom_complex_iso(cx, e.representation())
     assert cert.degrees == [0, 1]
     assert cert.ok is False
     assert [d for _, d in ext_dims(report, cert)] == [1, 2, 2, 1]
 
 
 def test_ext_dims_refuses_an_inexact_resolution():
-    e = catalog.aff1()
+    e = load("aff1")
     cx, _ = rinehart_complex(e.algebroid, 3)
     bad = ExactnessReport(3, {(1, 1): 1}, {})
     with pytest.raises(ExactnessFailure):
-        ext_dims(bad, hom_complex_iso(cx, e.representation))
+        ext_dims(bad, hom_complex_iso(cx, e.representation()))
 
 
 def test_resolution_overflow_is_an_engine_error(monkeypatch):
     monkeypatch.setattr(TruncatedEnveloping, "rmul_s_mono", lambda self, mono, j: ({}, True))
     with pytest.raises(EngineError, match="escaped"):
-        rinehart_complex(catalog.aff1().algebroid, 2)
+        rinehart_complex(load("aff1").algebroid, 2)
 
 
 def test_ext_dims_match_ce_corpus():
-    for e in catalog.positive_entries():
-        exts = resolution_ext(e.algebroid, e.representation, 3)
-        assert [d for _, d in exts] == ce_dims(e.algebroid, e.representation), e.name
+    for name in POSITIVE:
+        e = load(name)
+        exts = resolution_ext(e.algebroid, e.representation(), 3)
+        assert [d for _, d in exts] == ce_dims(e.algebroid, e.representation()), name
 
 
 def test_ext_dims_examples():
-    e = catalog.abelian2()
-    assert [d for _, d in resolution_ext(e.algebroid, e.representation, 3)] == [1, 2, 1]
-    e = catalog.sl2()
-    assert [d for _, d in resolution_ext(e.algebroid, e.representation, 3)] == [1, 0, 0, 1]
-    e = catalog.fatpoint_rank1()
-    assert [d for _, d in resolution_ext(e.algebroid, e.representation, 3)] == [1, 1]
+    e = load("abelian2")
+    assert [d for _, d in resolution_ext(e.algebroid, e.representation(), 3)] == [1, 2, 1]
+    e = load("sl2")
+    assert [d for _, d in resolution_ext(e.algebroid, e.representation(), 3)] == [1, 0, 0, 1]
+    e = load("fatpoint_rank1")
+    assert [d for _, d in resolution_ext(e.algebroid, e.representation(), 3)] == [1, 1]
 
 
 def test_table_export_is_deterministic():
-    L = catalog.aff1().algebroid
+    L = load("aff1").algebroid
     t1 = TruncatedEnveloping(L, 2).table()
     t2 = TruncatedEnveloping(L, 2).table()
     assert t1 == t2
@@ -305,7 +304,7 @@ def test_table_export_is_deterministic():
 def test_augmentation_is_left_a_linear_and_onto():
     # eps(f u) = f eps(u), and the image of eps on every level is all of A
     for name in ("fatpoint_rank1", "split_example"):
-        e = {x.name: x for x in catalog.positive_entries()}[name]
+        e = load(name)
         L = e.algebroid
         U = TruncatedEnveloping(L, 2)
         eps = U.augmentation_matrix()

@@ -45,6 +45,18 @@ def test_round_trip_identity():
         assert problem_hash(again) == problem_hash(p), path.name
 
 
+def test_corpus_files_are_in_canonical_form():
+    # the files are the source of every example: each is the indented, key-sorted
+    # form of what it parses to, and the malformed one is at least formatted so
+    for path in sorted(PROBLEMS.glob("**/*.json")):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "bad_bracket_shape.json":
+            data = json.loads(text)
+        else:
+            data = to_dict(parse(path))
+        assert text == json.dumps(data, indent=2, sort_keys=True) + "\n", path.name
+
+
 def test_wrong_bracket_shape_reports_field():
     with pytest.raises(ShapeError) as err:
         parse(PROBLEMS / "negative" / "bad_bracket_shape.json")
@@ -80,6 +92,25 @@ def test_unreadable_file_message_ignores_the_field_override(tmp_path, capsys, te
         assert main(["validate", str(path)] + flags) == 2
         errs.append(capsys.readouterr().err)
     assert str(path) in errs[0] and errs == [errs[0]] * len(FIELD_OVERRIDES)
+
+
+def test_file_that_is_not_utf8_is_a_located_input_error(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff{}")
+    assert main(["validate", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_field_flag_that_is_not_a_number_names_the_flag(capsys, value):
+    assert main(["validate", str(PROBLEMS / "abelian2.json"), "--field", value]) == 2
+    err = capsys.readouterr().err
+    assert "--field" in err and "'rational' or a prime" in err
+
+
+def test_field_flag_with_a_composite_names_the_modulus(capsys):
+    assert main(["validate", str(PROBLEMS / "abelian2.json"), "--field", "4"]) == 2
+    assert capsys.readouterr().err == "input error: field.p: modulus 4 is not prime\n"
 
 
 def test_validate_ok_exit_zero(capsys):

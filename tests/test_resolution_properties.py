@@ -10,22 +10,22 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import load
 from oracles import nested_slice_exactness
-from rinehart import catalog
 from rinehart.enveloping import check_exactness, rinehart_complex
 from rinehart.errors import ExactnessFailure
-from rinehart.fields import GF, QQ
 from rinehart.linalg import Matrix
 
 ALGEBROIDS = ("abelian2", "sl2", "heisenberg3", "aff1", "fatpoint_rank1", "fatpoint_rank2",
               "split_example")
-FIELDS = {"Q": QQ, "F_2": GF(2), "F_3": GF(3)}
+FIELDS = {"Q": {"type": "rational"}, "F_2": {"type": "prime", "p": 2},
+          "F_3": {"type": "prime", "p": 3}}
 CUTOFFS = (1, 2, 3, 4)
 
 
 @lru_cache(maxsize=None)
 def resolution(name, field, cutoff):
-    cx, report = rinehart_complex(getattr(catalog, name)(FIELDS[field]).algebroid, cutoff)
+    cx, report = rinehart_complex(load(name, FIELDS[field]).algebroid, cutoff)
     return cx
 
 

@@ -5,23 +5,23 @@ augmentation also on anchors that neither kill 1 nor commute."""
 
 import pytest
 
+from corpus import load
 from oracles import chained_augmentation, chained_table
-from rinehart import catalog
 from rinehart.algebroid import LieRinehartAlgebroid
 from rinehart.enveloping import TruncatedEnveloping
-from rinehart.fields import GF, QQ
 from rinehart.linalg import Matrix
 
 ALGEBROIDS = ("abelian2", "sl2", "heisenberg3", "aff1", "fatpoint_rank1", "fatpoint_rank2",
               "split_example")
-FIELDS = {"Q": QQ, "F_2": GF(2), "F_3": GF(3)}
+FIELDS = {"Q": {"type": "rational"}, "F_2": {"type": "prime", "p": 2},
+          "F_3": {"type": "prime", "p": 3}}
 CUTOFFS = (1, 2, 3, 4)
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
 @pytest.mark.parametrize("name", ALGEBROIDS)
 def test_table_rows_and_augmentation_match_the_chained_oracles(name, field):
-    L = getattr(catalog, name)(FIELDS[field]).algebroid
+    L = load(name, FIELDS[field]).algebroid
     for cutoff in CUTOFFS:
         # separate instances, so the two tables share no memoized product
         U = TruncatedEnveloping(L, cutoff)
@@ -43,8 +43,8 @@ def test_augmentation_applies_the_sections_in_pbw_order(field):
     # zero and the order of the sections never shows.  Anchors that do not
     # kill 1 and do not commute (no algebroid, but the formula still applies)
     # make s^alpha . 1 depend on it.
-    f = FIELDS[field]
-    L0 = catalog.split_example(f).algebroid
+    L0 = load("split_example", FIELDS[field]).algebroid
+    f = L0.field
     anchors = [Matrix.from_rows(f, [[f.from_int(x) for x in row] for row in rows])
                for rows in ([[1, 1], [0, 1]], [[1, 0], [1, 1]])]
     assert anchors[0].mul(anchors[1]) != anchors[1].mul(anchors[0])

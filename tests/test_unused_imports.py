@@ -1,12 +1,15 @@
-"""Every name a module of the engine imports is used in that module, and
-every module-level private function or class is referenced somewhere in the
-engine outside its own definition.
+"""Every name a module of the engine imports is used in that module, every
+module-level private function or class is referenced somewhere in the engine
+outside its own definition, and the CLI loads every module.
 
 The package `__init__.py` is exempt from the import check: its imports are
 the re-exports.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -119,3 +122,13 @@ def test_checker_flags_a_private_orphan():
                "b.py": ("from .a import _Imported\n"
                         "x = _used()\n")}
     assert private_orphans(sources) == [("a.py", "_orphan")]
+
+
+def test_the_cli_loads_every_engine_module():
+    # a module that the CLI never imports is reached only by tests and demos
+    code = (f"import json, sys; sys.path.insert(0, {str(SRC.parent)!r}); import rinehart.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('rinehart.'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert json.loads(out) == sorted(f"rinehart.{p.stem}" for p in SRC.glob("*.py")
+                                     if p.stem not in ("__init__", "__main__"))
